@@ -1,8 +1,8 @@
 //! Runs the beyond-paper ablations: read-repair chance, commit-log
-//! durability, and failover phases. Writes CSVs under `results/`.
+//! durability, and partitioner choice. Writes CSVs under `results/`.
 
 use bench_core::ablation::{
-    ablate_commitlog, ablate_partitioner, ablate_read_repair, failover_phases, AblationConfig,
+    ablate_commitlog, ablate_partitioner, ablate_read_repair, AblationConfig,
 };
 
 fn main() {
@@ -21,11 +21,6 @@ fn main() {
     let cl = ablate_commitlog(&cfg);
     println!("{}", cl.render());
     cl.write_csv(&bench::results_dir().join("ablation_commitlog.csv"))
-        .expect("write csv");
-
-    let fo = failover_phases(&cfg);
-    println!("{}", fo.render());
-    fo.write_csv(&bench::results_dir().join("extension_failover.csv"))
         .expect("write csv");
 
     let part = ablate_partitioner(&cfg);

@@ -4,7 +4,6 @@
 //! artifacts; useful when retuning `Scale` or `ServiceCosts`.
 
 use bench_core::driver::{self, DriverConfig};
-use bench_core::resilience::RetryPolicy;
 use bench_core::setup::{build_cstore, build_hstore, Scale};
 use cstore::Consistency;
 use simkit::NodeId;
@@ -22,20 +21,12 @@ fn main() {
         .unwrap_or(1);
     let scale = Scale::micro();
     let dcfg = DriverConfig {
-        workload: WorkloadSpec::micro(OpKind::Read),
         threads: 48,
         target_ops_per_sec: 1_500.0,
-        records: scale.records,
         value_len: scale.value_len,
         warmup_ops: 1_000,
         measure_ops: 8_000,
-        seed: 42,
-        faults: Default::default(),
-        timeline_window_us: 0,
-        retry: RetryPolicy::none(),
-        trace: Default::default(),
-        audit: Default::default(),
-        arrival: Default::default(),
+        ..DriverConfig::new(WorkloadSpec::micro(OpKind::Read), scale.records)
     };
 
     {
@@ -93,20 +84,10 @@ fn consistency_probe() {
         let mut c = build_cstore(&scale, 3, rcl, wcl);
         driver::load(&mut c, scale.records, scale.value_len, 42);
         let dcfg = DriverConfig {
-            workload: WorkloadSpec::read_update(),
-            threads: 64,
-            target_ops_per_sec: 0.0,
-            records: scale.records,
             value_len: scale.value_len,
             warmup_ops: 2_000,
             measure_ops: 15_000,
-            seed: 42,
-            faults: Default::default(),
-            timeline_window_us: 0,
-            retry: RetryPolicy::none(),
-            trace: Default::default(),
-            audit: Default::default(),
-            arrival: Default::default(),
+            ..DriverConfig::new(WorkloadSpec::read_update(), scale.records)
         };
         let out = driver::run(&mut c, &dcfg);
         let (hits, misses) = (0..c.len()).fold((0u64, 0u64), |(h, m), i| {

@@ -24,7 +24,7 @@
 //!   session-guarantee checkers, (Δ,p)-staleness curves, and a bounded
 //!   linearizability check, split by fault phase).
 //! * `ablations` — beyond-paper ablations (read repair, commit-log
-//!   durability, failover phases).
+//!   durability, partitioner).
 //!
 //! Pass `--quick` to any figure binary for a fast smoke-scale run.
 //! Criterion microbenches for the hot components live in `benches/`.

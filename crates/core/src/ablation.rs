@@ -7,19 +7,17 @@
 //!   Cassandra's read-latency growth at RF > 3;
 //! * **commit-log durability** — periodic (the paper's deployment) vs
 //!   per-write sync, isolating the mechanism behind flat write latency;
-//! * **failover** — Pokluda et al.-style availability: throughput and
-//!   errors before, during, and after a node failure.
+//! * **partitioner** — order-preserving vs hashing placement.
+//!
+//! Failover (throughput and errors before, during, and after a node
+//! failure) is Fig. 4's pre/fault/post phase table.
 
-use cstore::{CommitlogSync, Consistency};
-use faults::FaultPlan;
-use simkit::NodeId;
+use cstore::{CStoreConfig, CommitlogSync, Consistency};
 use ycsb::WorkloadSpec;
 
 use crate::driver::{self, DriverConfig};
 use crate::report::{fmt_ops, fmt_us, Table};
-use crate::resilience::RetryPolicy;
-use crate::setup::{build_cstore_with, build_hstore, Scale, StoreKind};
-use crate::store::SimStore;
+use crate::setup::{build_cstore_with, Scale};
 use crate::sweep::Sweep;
 
 /// Shared knobs for the ablation runs.
@@ -61,23 +59,26 @@ impl AblationConfig {
         }
     }
 
-    fn driver(&self, workload: WorkloadSpec) -> DriverConfig {
-        DriverConfig {
-            workload,
+    /// Build a CL=ONE cstore with `tweak` applied, load it, and drive
+    /// `workload` on it.
+    fn run_cstore(
+        &self,
+        rf: u32,
+        workload: WorkloadSpec,
+        tweak: impl FnOnce(&mut CStoreConfig),
+    ) -> (driver::RunOutcome, cstore::Cluster) {
+        let scale = &self.scale;
+        let mut store = build_cstore_with(scale, rf, Consistency::One, Consistency::One, tweak);
+        driver::load(&mut store, scale.records, scale.value_len, self.seed);
+        let dcfg = DriverConfig {
             threads: self.threads,
-            target_ops_per_sec: 0.0,
-            records: self.scale.records,
-            value_len: self.scale.value_len,
+            value_len: scale.value_len,
             warmup_ops: self.warmup_ops,
             measure_ops: self.measure_ops,
             seed: self.seed,
-            faults: Default::default(),
-            timeline_window_us: 0,
-            retry: RetryPolicy::none(),
-            trace: obs::TraceConfig::off(),
-            audit: audit::AuditConfig::off(),
-            arrival: crate::driver::ArrivalMode::ClosedLoop,
-        }
+            ..DriverConfig::new(workload, scale.records)
+        };
+        (driver::run(&mut store, &dcfg), store)
     }
 }
 
@@ -96,7 +97,7 @@ pub struct AblationRow {
     pub errors: u64,
 }
 
-fn to_row<S: SimStore>(variant: &str, out: &driver::RunOutcome, _store: &S) -> AblationRow {
+fn to_row(variant: &str, out: &driver::RunOutcome) -> AblationRow {
     AblationRow {
         variant: variant.to_owned(),
         throughput: out.throughput,
@@ -130,13 +131,10 @@ pub fn ablate_read_repair(cfg: &AblationConfig, rf: u32) -> Table {
     let chances = [0.0, 0.1, 1.0];
     let rows = Sweep::from_env()
         .run(cfg.seed, &chances, |_, &chance| {
-            let mut store =
-                build_cstore_with(&cfg.scale, rf, Consistency::One, Consistency::One, |c| {
-                    c.read_repair_chance = chance
-                });
-            driver::load(&mut store, cfg.scale.records, cfg.scale.value_len, cfg.seed);
-            let out = driver::run(&mut store, &cfg.driver(WorkloadSpec::read_mostly()));
-            to_row(&format!("read_repair_chance={chance}"), &out, &store)
+            let (out, _) = cfg.run_cstore(rf, WorkloadSpec::read_mostly(), |c| {
+                c.read_repair_chance = chance
+            });
+            to_row(&format!("read_repair_chance={chance}"), &out)
         })
         .results;
     rows_table(
@@ -154,87 +152,13 @@ pub fn ablate_commitlog(cfg: &AblationConfig) -> Table {
     ];
     let rows = Sweep::from_env()
         .run(cfg.seed, &modes, |_, &(label, mode)| {
-            let mut store =
-                build_cstore_with(&cfg.scale, 3, Consistency::One, Consistency::One, |c| {
-                    c.commitlog_sync = mode
-                });
-            driver::load(&mut store, cfg.scale.records, cfg.scale.value_len, cfg.seed);
-            let out = driver::run(&mut store, &cfg.driver(WorkloadSpec::read_update()));
-            to_row(label, &out, &store)
+            let (out, _) =
+                cfg.run_cstore(3, WorkloadSpec::read_update(), |c| c.commitlog_sync = mode);
+            to_row(label, &out)
         })
         .results;
     rows_table(
         "Ablation — commit-log durability (cstore, RF=3, read & update)",
-        &rows,
-    )
-}
-
-/// Extension — Pokluda et al.-style failover: phase throughput for both
-/// stores before a node failure, while the node is down, and after
-/// recovery.
-pub fn failover_phases(cfg: &AblationConfig) -> Table {
-    let workload = WorkloadSpec::read_mostly;
-    let victim = NodeId(0);
-    // The fail/recover sequences ride on the fault-injection subsystem: a
-    // plan event at t=0 fires before the first issued op (fault wrapper
-    // events are scheduled ahead of the thread stagger), so "node down"
-    // measures a run that starts with the victim already dead, and
-    // "recovered" replays hints inside the same driver sim that serves
-    // the load.
-    let crash_now = FaultPlan::new().crash_at(victim, 0);
-    let recover_now = FaultPlan::new().recover_at(victim, 0);
-    let faulted = |mut dcfg: DriverConfig, plan: &FaultPlan| {
-        dcfg.faults = plan.clone();
-        dcfg
-    };
-
-    // Each store's before/during/after sequence mutates one cluster, so the
-    // phases stay serial inside a cell; the two stores run as parallel
-    // sweep cells and the ordered collection keeps cstore rows first.
-    let cells = [StoreKind::CStore, StoreKind::HStore];
-    let rows: Vec<AblationRow> = Sweep::from_env()
-        .run(cfg.seed, &cells, |_, &kind| match kind {
-            StoreKind::CStore => {
-                let mut rows = Vec::new();
-                let mut store =
-                    build_cstore_with(&cfg.scale, 3, Consistency::One, Consistency::One, |_| {});
-                driver::load(&mut store, cfg.scale.records, cfg.scale.value_len, cfg.seed);
-                let healthy = driver::run(&mut store, &cfg.driver(workload()));
-                rows.push(to_row("cstore healthy", &healthy, &store));
-
-                let degraded =
-                    driver::run(&mut store, &faulted(cfg.driver(workload()), &crash_now));
-                rows.push(to_row("cstore node down", &degraded, &store));
-
-                let recovered =
-                    driver::run(&mut store, &faulted(cfg.driver(workload()), &recover_now));
-                rows.push(to_row("cstore recovered", &recovered, &store));
-                rows
-            }
-            StoreKind::HStore => {
-                let mut rows = Vec::new();
-                let mut store = build_hstore(&cfg.scale, 3);
-                driver::load(&mut store, cfg.scale.records, cfg.scale.value_len, cfg.seed);
-                let healthy = driver::run(&mut store, &cfg.driver(workload()));
-                rows.push(to_row("hstore healthy", &healthy, &store));
-
-                let failed_over =
-                    driver::run(&mut store, &faulted(cfg.driver(workload()), &crash_now));
-                rows.push(to_row("hstore after failover", &failed_over, &store));
-
-                let recovered =
-                    driver::run(&mut store, &faulted(cfg.driver(workload()), &recover_now));
-                rows.push(to_row("hstore recovered", &recovered, &store));
-                rows
-            }
-        })
-        .results
-        .into_iter()
-        .flatten()
-        .collect();
-
-    rows_table(
-        "Extension — failover phases (read mostly, RF=3, one node killed)",
         &rows,
     )
 }
@@ -270,16 +194,6 @@ mod tests {
             "periodic {periodic} should out-run per-write {perwrite}"
         );
     }
-
-    #[test]
-    fn failover_phases_run_without_errors_at_cl_one() {
-        let t = failover_phases(&AblationConfig::quick());
-        assert_eq!(t.rows.len(), 6);
-        // cstore at CL=ONE must keep serving with a node down.
-        let down_row = &t.rows[1];
-        assert_eq!(down_row[0], "cstore node down");
-        assert_eq!(down_row[4], "0", "CL=ONE should ride through: {down_row:?}");
-    }
 }
 
 /// Ablation — partitioner choice: the order-preserving partitioner the scan
@@ -301,16 +215,13 @@ pub fn ablate_partitioner(cfg: &AblationConfig) -> Table {
         .run(cfg.seed, &variants, |_, &ordered| {
             let nodes = cfg.scale.nodes;
             let tokens = cfg.scale.tokens();
-            let mut store =
-                build_cstore_with(&cfg.scale, 3, Consistency::One, Consistency::One, |c| {
-                    c.partitioner = if ordered {
-                        cstore::Partitioner::order_preserving(tokens)
-                    } else {
-                        cstore::Partitioner::murmur()
-                    };
-                });
-            driver::load(&mut store, cfg.scale.records, cfg.scale.value_len, cfg.seed);
-            let out = driver::run(&mut store, &cfg.driver(WorkloadSpec::read_update()));
+            let (out, store) = cfg.run_cstore(3, WorkloadSpec::read_update(), |c| {
+                c.partitioner = if ordered {
+                    cstore::Partitioner::order_preserving(tokens)
+                } else {
+                    cstore::Partitioner::murmur()
+                };
+            });
             // Primary-load balance: how evenly the preloaded keys spread.
             let mut counts = vec![0u64; nodes];
             for i in 0..cfg.scale.records.min(20_000) {

@@ -20,107 +20,27 @@
 //! ops, and every cell cross-checks the two views: replaying the history
 //! must reproduce `RunMetrics::staleness()` exactly — the recorded
 //! history provably carries the information the live tracker saw.
+//!
+//! The runs themselves are Fig. 4's: [`run_audit_with`] is the audit
+//! projection of [`crate::failure::run_crash_grid_with`].
 
 use audit::{check_key, check_sessions, key_ops, staleness, PhaseWindow, SessionCounts, Verdict};
-use faults::FaultPlan;
-use simkit::NodeId;
-use ycsb::WorkloadSpec;
 
-use crate::consistency::PAPER_LEVELS;
-use crate::driver::{self, DriverConfig};
-use crate::failure::HSTORE_CL;
+use crate::driver::RunOutcome;
+use crate::failure::{run_crash_grid_with, CrashGridConfig};
 use crate::report::Table;
-use crate::resilience::RetryPolicy;
-use crate::setup::{build_cstore_with, build_hstore_with, Scale, StoreKind};
-use crate::sweep::{BasePool, Sweep, Telemetry};
+use crate::runner::Point;
+use crate::setup::StoreKind;
+use crate::sweep::{Sweep, Telemetry};
 
 /// The version timestamp the driver's preload assigns every record —
 /// the register's initial state for the linearizability checker.
 const PRELOAD_TS: u64 = 1;
 
-/// Configuration of the Fig. 8 experiment.
-#[derive(Debug, Clone)]
-pub struct AuditExperimentConfig {
-    /// Record/cache scale.
-    pub scale: Scale,
-    /// Replication factors to sweep.
-    pub rfs: Vec<u32>,
-    /// Client threads.
-    pub threads: usize,
-    /// Cluster-wide target throughput (constant-rate, like Fig. 4).
-    pub target_ops_per_sec: f64,
-    /// Warm-up completions.
-    pub warmup_ops: u64,
-    /// Measured completions.
-    pub measure_ops: u64,
-    /// Virtual time at which the victim crashes, µs from sim start.
-    pub crash_at_us: u64,
-    /// Virtual time at which the victim comes back, µs from sim start.
-    pub recover_at_us: u64,
-    /// Client RPC timeout applied to both stores.
-    pub rpc_timeout_us: u64,
-    /// HBase-analog failure-detection window before region failover.
-    pub failover_delay_us: u64,
-    /// The node that crashes.
-    pub victim: NodeId,
-    /// The workload under which the failure happens.
-    pub workload: WorkloadSpec,
-    /// Seed.
-    pub seed: u64,
-    /// The Δ grid (µs) for the (Δ,p)-staleness columns.
-    pub deltas_us: Vec<u64>,
-    /// How many of the hottest keys get the linearizability check.
-    pub lin_keys: usize,
-    /// Search-node budget per checked key.
-    pub lin_budget: u64,
-}
+/// Configuration of the Fig. 8 experiment: the Fig. 4 crash grid.
+pub type AuditExperimentConfig = CrashGridConfig;
 
-impl Default for AuditExperimentConfig {
-    fn default() -> Self {
-        Self {
-            scale: Scale::stress(),
-            rfs: vec![1, 3, 5],
-            threads: 48,
-            target_ops_per_sec: 3_000.0,
-            warmup_ops: 2_000,
-            measure_ops: 40_000,
-            crash_at_us: 4_000_000,
-            recover_at_us: 9_000_000,
-            rpc_timeout_us: 250_000,
-            failover_delay_us: 2_000_000,
-            victim: NodeId(0),
-            workload: WorkloadSpec::read_update(),
-            seed: 42,
-            deltas_us: vec![0, 1_000, 10_000, 100_000, 1_000_000],
-            lin_keys: 8,
-            lin_budget: 500_000,
-        }
-    }
-}
-
-impl AuditExperimentConfig {
-    /// A fast variant for tests and smoke runs — the Fig. 4 quick plan.
-    pub fn quick() -> Self {
-        Self {
-            scale: Scale::tiny(),
-            rfs: vec![1, 3, 5],
-            threads: 8,
-            target_ops_per_sec: 2_000.0,
-            warmup_ops: 400,
-            measure_ops: 5_600,
-            crash_at_us: 900_000,
-            recover_at_us: 1_800_000,
-            rpc_timeout_us: 120_000,
-            failover_delay_us: 300_000,
-            victim: NodeId(0),
-            workload: WorkloadSpec::read_update(),
-            seed: 42,
-            deltas_us: vec![0, 1_000, 10_000, 100_000, 1_000_000],
-            lin_keys: 4,
-            lin_budget: 200_000,
-        }
-    }
-
+impl CrashGridConfig {
     /// The three fault-phase windows of the plan, in run order.
     pub fn phases(&self) -> Vec<PhaseWindow> {
         vec![
@@ -171,7 +91,8 @@ pub struct AuditCell {
     pub store: StoreKind,
     /// Replication factor.
     pub rf: u32,
-    /// Consistency strategy name ([`HSTORE_CL`] for the HBase analog).
+    /// Consistency strategy name ([`crate::failure::HSTORE_CL`] for the
+    /// HBase analog).
     pub cl: &'static str,
     /// Per-phase audits, in plan order (healthy, crash, recovery).
     pub phases: Vec<PhaseAudit>,
@@ -341,17 +262,33 @@ impl AuditResult {
     }
 }
 
-/// Audit one run's recorded history into per-phase summaries plus the
-/// linearizability verdict. Pure over the history.
-fn audit_history(
-    history: &audit::History,
+/// Reduce one crash-grid run's recorded history to its Fig. 8 cell: the
+/// per-phase session and staleness audits plus the linearizability verdict
+/// over the hottest keys.
+///
+/// # Panics
+/// If replaying the history does not reproduce the live staleness
+/// tracker's accounting exactly — the history would be missing operations
+/// the tracker saw.
+pub(crate) fn audit_cell(
+    cfg: &CrashGridConfig,
+    p: Point,
+    out: &RunOutcome,
     phases: &[PhaseWindow],
-    deltas_us: &[u64],
-    lin_keys: usize,
-    lin_budget: u64,
-) -> (Vec<PhaseAudit>, Verdict, usize) {
-    let counts = check_sessions(history, phases);
-    let margins = staleness::margins(history, phases);
+) -> AuditCell {
+    let history = out.audit.clone().unwrap_or_default();
+    let replay = history.stale_counts();
+    let (tracker_stale, tracker_checked) = out.metrics.staleness();
+    assert_eq!(
+        (replay.stale, replay.checked, replay.missing),
+        (tracker_stale, tracker_checked, out.metrics.missing_reads()),
+        "audit history disagrees with the staleness tracker: {}/{}/{}",
+        p.store.short(),
+        p.rf,
+        p.cl()
+    );
+    let counts = check_sessions(&history, phases);
+    let margins = staleness::margins(&history, phases);
     let audits: Vec<PhaseAudit> = phases
         .iter()
         .zip(counts)
@@ -363,30 +300,41 @@ fn audit_history(
             margin_p95_us: staleness::quantile(m, 0.95),
             margin_p99_us: staleness::quantile(m, 0.99),
             margin_max_us: m.iter().copied().max().unwrap_or(0),
-            curve: staleness::curve(m, deltas_us),
+            curve: staleness::curve(m, &cfg.deltas_us),
         })
         .collect();
     let keys: Vec<_> = history
         .keys_by_activity()
         .into_iter()
-        .take(lin_keys)
+        .take(cfg.lin_keys)
         .collect();
-    let mut verdict = Verdict::Linearizable;
+    let mut linearizable = Verdict::Linearizable;
     for key in &keys {
-        let v = match key_ops(history, key) {
-            Some(ops) => check_key(&ops, Some(PRELOAD_TS), lin_budget),
+        let v = match key_ops(&history, key) {
+            Some(ops) => check_key(&ops, Some(PRELOAD_TS), cfg.lin_budget),
             None => Verdict::Inconclusive,
         };
         match v {
             Verdict::Violation => {
-                verdict = Verdict::Violation;
+                linearizable = Verdict::Violation;
                 break;
             }
-            Verdict::Inconclusive => verdict = Verdict::Inconclusive,
+            Verdict::Inconclusive => linearizable = Verdict::Inconclusive,
             Verdict::Linearizable => {}
         }
     }
-    (audits, verdict, keys.len())
+    AuditCell {
+        store: p.store,
+        rf: p.rf,
+        cl: p.cl(),
+        phases: audits,
+        linearizable,
+        lin_keys_checked: keys.len(),
+        tracker_stale,
+        tracker_checked,
+        tracker_missing: out.metrics.missing_reads(),
+        faults_injected: out.faults_injected,
+    }
 }
 
 /// Run the full Fig. 8 experiment through the sweep engine.
@@ -394,126 +342,16 @@ pub fn run_audit(cfg: &AuditExperimentConfig) -> AuditResult {
     run_audit_with(cfg, &Sweep::from_env())
 }
 
-/// [`run_audit`] on a caller-configured engine.
+/// [`run_audit`] on a caller-configured engine: the Fig. 8 projection of
+/// [`run_crash_grid_with`].
 pub fn run_audit_with(cfg: &AuditExperimentConfig, sweep: &Sweep) -> AuditResult {
-    // One cell per (store, RF, consistency level), exactly the Fig. 4
-    // grid: the HBase analog's single implicit level plus the paper's
-    // three Cassandra levels.
-    let specs: Vec<(StoreKind, u32, usize)> = cfg
-        .rfs
-        .iter()
-        .flat_map(|&rf| {
-            std::iter::once((StoreKind::HStore, rf, 0))
-                .chain((0..PAPER_LEVELS.len()).map(move |l| (StoreKind::CStore, rf, l)))
-        })
-        .collect();
-    let hpool: BasePool<u32, hstore::Cluster> = BasePool::new(cfg.rfs.iter().copied());
-    let cpool: BasePool<(u32, usize), cstore::Cluster> = BasePool::new(
-        cfg.rfs
-            .iter()
-            .flat_map(|&rf| (0..PAPER_LEVELS.len()).map(move |l| (rf, l))),
-    );
-    let phases = cfg.phases();
-
-    let outcome = sweep.run(cfg.seed, &specs, |ctx, &(store, rf, l)| {
-        let dcfg = DriverConfig {
-            workload: cfg.workload.clone(),
-            threads: cfg.threads,
-            target_ops_per_sec: cfg.target_ops_per_sec,
-            records: cfg.scale.records,
-            value_len: cfg.scale.value_len,
-            warmup_ops: cfg.warmup_ops,
-            measure_ops: cfg.measure_ops,
-            seed: ctx.seed,
-            faults: FaultPlan::new().crash_window(cfg.victim, cfg.crash_at_us, cfg.recover_at_us),
-            timeline_window_us: 0,
-            // The paper's fair-weather client, like Fig. 4: what the
-            // client *sees* without resilience machinery in the way.
-            retry: RetryPolicy::none(),
-            trace: obs::TraceConfig::off(),
-            audit: audit::AuditConfig::all(),
-            arrival: crate::driver::ArrivalMode::ClosedLoop,
-        };
-        let (cl, out) = match store {
-            StoreKind::HStore => {
-                let mut snapshot = hpool
-                    .get_or_load(&rf, || {
-                        let mut base = build_hstore_with(&cfg.scale, rf, |c| {
-                            c.rpc_timeout_us = cfg.rpc_timeout_us;
-                            c.failover_delay_us = cfg.failover_delay_us;
-                        });
-                        driver::load(&mut base, cfg.scale.records, cfg.scale.value_len, cfg.seed);
-                        base
-                    })
-                    .snapshot();
-                (HSTORE_CL, driver::run(&mut snapshot, &dcfg))
-            }
-            StoreKind::CStore => {
-                let level = PAPER_LEVELS[l];
-                let mut snapshot = cpool
-                    .get_or_load(&(rf, l), || {
-                        let mut base =
-                            build_cstore_with(&cfg.scale, rf, level.read, level.write, |c| {
-                                c.rpc_timeout_us = cfg.rpc_timeout_us;
-                            });
-                        driver::load(&mut base, cfg.scale.records, cfg.scale.value_len, cfg.seed);
-                        base
-                    })
-                    .snapshot();
-                (level.name, driver::run(&mut snapshot, &dcfg))
-            }
-        };
-        let history = out.audit.clone().unwrap_or_default();
-        // Cross-check invariant: replaying the recorded history must
-        // reproduce the live tracker's accounting exactly. A mismatch
-        // means the history is missing operations the tracker saw.
-        let replay = history.stale_counts();
-        let (tracker_stale, tracker_checked) = out.metrics.staleness();
-        assert_eq!(
-            (replay.stale, replay.checked, replay.missing),
-            (tracker_stale, tracker_checked, out.metrics.missing_reads()),
-            "audit history disagrees with the staleness tracker: {}/{rf}/{cl}",
-            store.short()
-        );
-        let (phase_audits, linearizable, lin_keys_checked) = audit_history(
-            &history,
-            &phases,
-            &cfg.deltas_us,
-            cfg.lin_keys,
-            cfg.lin_budget,
-        );
-        AuditCell {
-            store,
-            rf,
-            cl,
-            phases: phase_audits,
-            linearizable,
-            lin_keys_checked,
-            tracker_stale,
-            tracker_checked,
-            tracker_missing: out.metrics.missing_reads(),
-            faults_injected: out.faults_injected,
-        }
-    });
-
-    let mut telemetry = outcome.telemetry;
-    telemetry.record_pool(&hpool);
-    telemetry.record_pool(&cpool);
-    let mut cells = outcome.results;
-    cells.sort_by(|a, b| (a.store.short(), a.rf, a.cl).cmp(&(b.store.short(), b.rf, b.cl)));
-    AuditResult {
-        cells,
-        crash_at_us: cfg.crash_at_us,
-        recover_at_us: cfg.recover_at_us,
-        deltas_us: cfg.deltas_us.clone(),
-        workload: cfg.workload.name.clone(),
-        telemetry,
-    }
+    run_crash_grid_with(cfg, sweep).1
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::failure::HSTORE_CL;
 
     #[test]
     fn quick_audit_matches_the_acceptance_shape() {

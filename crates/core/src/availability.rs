@@ -22,13 +22,13 @@ use faults::FaultPlan;
 use simkit::NodeId;
 use ycsb::{ResilienceCounters, TimelineWindow, WorkloadSpec};
 
-use crate::consistency::PAPER_LEVELS;
-use crate::driver::{self, DriverConfig};
-use crate::failure::HSTORE_CL;
+use crate::driver::DriverConfig;
+use crate::failure::{build_crashable, phase_mean, split_phases};
 use crate::report::{fmt_ops, Table};
 use crate::resilience::RetryPolicy;
-use crate::setup::{build_cstore_with, build_hstore_with, Scale, StoreKind};
-use crate::sweep::{BasePool, Sweep, Telemetry};
+use crate::runner::{paper_grid, Point, Runner};
+use crate::setup::{Scale, StoreKind};
+use crate::sweep::{Sweep, Telemetry};
 
 /// The three client policies every (store, CL) pair runs under.
 pub const POLICY_NAMES: [&str; 3] = ["none", "retry", "retry+hedge"];
@@ -147,7 +147,8 @@ impl AvailabilityConfig {
 pub struct AvailabilityCell {
     /// Which store.
     pub store: StoreKind,
-    /// Consistency strategy name ([`HSTORE_CL`] for the HBase analog).
+    /// Consistency strategy name ([`crate::failure::HSTORE_CL`] for the
+    /// HBase analog).
     pub cl: &'static str,
     /// Retry-policy name (one of [`POLICY_NAMES`]).
     pub policy: &'static str,
@@ -281,56 +282,6 @@ impl AvailabilityResult {
     }
 }
 
-/// Fault-phase aggregates computed from one timeline (Fig. 5 needs the
-/// goodput split and attempt cost on top of Fig. 4's throughput phases).
-fn summarize(
-    windows: &[TimelineWindow],
-    crash_at: u64,
-    recover_at: u64,
-    window_us: u64,
-) -> (f64, f64, f64, u64, f64, u64, f64) {
-    let mean = |ws: &[&TimelineWindow], f: &dyn Fn(&TimelineWindow) -> f64| -> f64 {
-        if ws.is_empty() {
-            0.0
-        } else {
-            ws.iter().map(|w| f(w)).sum::<f64>() / ws.len() as f64
-        }
-    };
-    let pre_all: Vec<&TimelineWindow> = windows.iter().filter(|w| w.end_us <= crash_at).collect();
-    // Skip the thread-stagger ramp window when more than one qualifies.
-    let pre = if pre_all.len() > 1 {
-        &pre_all[1..]
-    } else {
-        &pre_all[..]
-    };
-    let fault: Vec<&TimelineWindow> = windows
-        .iter()
-        .filter(|w| w.start_us >= crash_at && w.start_us < recover_at)
-        .collect();
-    let last_start = windows.last().map_or(0, |w| w.start_us);
-    let post: Vec<&TimelineWindow> = windows
-        .iter()
-        .filter(|w| w.start_us >= recover_at + window_us && w.start_us < last_start)
-        .collect();
-    let secs_per_window = window_us as f64 / 1_000_000.0;
-    let fault_errors: u64 = fault.iter().map(|w| w.errors).sum();
-    let fault_settled: u64 = fault.iter().map(|w| w.ops + w.errors).sum();
-    let fault_attempts: u64 = fault.iter().map(|w| w.attempts).sum();
-    (
-        mean(pre, &|w| w.ops_per_sec),
-        mean(&fault, &|w| w.ops_per_sec),
-        mean(&fault, &|w| w.first_try_ops() as f64 / secs_per_window),
-        fault_errors,
-        if fault_settled == 0 {
-            0.0
-        } else {
-            fault_attempts as f64 / fault_settled as f64
-        },
-        fault.iter().map(|w| w.p99_us).max().unwrap_or(0),
-        mean(&post, &|w| w.ops_per_sec),
-    )
-}
-
 /// Run the full Fig. 5 experiment through the sweep engine.
 pub fn run_availability(cfg: &AvailabilityConfig) -> AvailabilityResult {
     run_availability_with(cfg, &Sweep::from_env())
@@ -341,23 +292,17 @@ pub fn run_availability_with(cfg: &AvailabilityConfig, sweep: &Sweep) -> Availab
     // One cell per (store, consistency level, policy). The HBase analog
     // has its single implicit level; the Cassandra analog sweeps the
     // paper's three. Policies share the loaded base per (store, level).
-    let specs: Vec<(StoreKind, usize, usize)> = (0..POLICY_NAMES.len())
-        .flat_map(|p| {
-            std::iter::once((StoreKind::HStore, 0, p))
-                .chain((0..PAPER_LEVELS.len()).map(move |l| (StoreKind::CStore, l, p)))
-        })
+    let specs: Vec<(Point, usize)> = (0..POLICY_NAMES.len())
+        .flat_map(|p| paper_grid(&[cfg.rf]).into_iter().map(move |pt| (pt, p)))
         .collect();
-    let hpool: BasePool<u32, hstore::Cluster> = BasePool::new(std::iter::once(cfg.rf));
-    let cpool: BasePool<usize, cstore::Cluster> = BasePool::new(0..PAPER_LEVELS.len());
+    let runner = Runner::new(&cfg.scale, cfg.seed, specs.iter().map(|&(pt, _)| pt));
     let policies = cfg.policies();
 
-    let outcome = sweep.run(cfg.seed, &specs, |ctx, &(store, l, p)| {
+    let outcome = runner.sweep(sweep, &specs, |ctx, &(pt, p)| {
         let (policy, retry) = policies[p];
         let dcfg = DriverConfig {
-            workload: cfg.workload.clone(),
             threads: cfg.threads,
             target_ops_per_sec: cfg.target_ops_per_sec,
-            records: cfg.scale.records,
             value_len: cfg.scale.value_len,
             warmup_ops: cfg.warmup_ops,
             measure_ops: cfg.measure_ops,
@@ -365,66 +310,42 @@ pub fn run_availability_with(cfg: &AvailabilityConfig, sweep: &Sweep) -> Availab
             faults: FaultPlan::new().crash_window(cfg.victim, cfg.crash_at_us, cfg.recover_at_us),
             timeline_window_us: cfg.window_us,
             retry,
-            trace: obs::TraceConfig::off(),
-            audit: audit::AuditConfig::off(),
-            arrival: crate::driver::ArrivalMode::ClosedLoop,
+            ..DriverConfig::new(cfg.workload.clone(), cfg.scale.records)
         };
-        let (cl, out) = match store {
-            StoreKind::HStore => {
-                let mut snapshot = hpool
-                    .get_or_load(&cfg.rf, || {
-                        let mut base = build_hstore_with(&cfg.scale, cfg.rf, |c| {
-                            c.rpc_timeout_us = cfg.rpc_timeout_us;
-                            c.failover_delay_us = cfg.failover_delay_us;
-                        });
-                        driver::load(&mut base, cfg.scale.records, cfg.scale.value_len, cfg.seed);
-                        base
-                    })
-                    .snapshot();
-                (HSTORE_CL, driver::run(&mut snapshot, &dcfg))
-            }
-            StoreKind::CStore => {
-                let level = PAPER_LEVELS[l];
-                let mut snapshot = cpool
-                    .get_or_load(&l, || {
-                        let mut base =
-                            build_cstore_with(&cfg.scale, cfg.rf, level.read, level.write, |c| {
-                                c.rpc_timeout_us = cfg.rpc_timeout_us;
-                            });
-                        driver::load(&mut base, cfg.scale.records, cfg.scale.value_len, cfg.seed);
-                        base
-                    })
-                    .snapshot();
-                (level.name, driver::run(&mut snapshot, &dcfg))
-            }
-        };
+        let build = || build_crashable(pt, &cfg.scale, cfg.rpc_timeout_us, cfg.failover_delay_us);
+        let (out, _) = runner.run(&pt, build, &dcfg);
         let windows = out
             .metrics
             .timeline()
             .map(|t| t.windows())
             .unwrap_or_default();
-        let (pre, goodput, first_try, errors, att_per_op, p99, post) =
-            summarize(&windows, cfg.crash_at_us, cfg.recover_at_us, cfg.window_us);
+        // Fig. 4's phases, plus the goodput split and the attempt cost.
+        let [pre, fault, post] =
+            split_phases(&windows, cfg.crash_at_us, cfg.recover_at_us, cfg.window_us);
+        let secs_per_window = cfg.window_us as f64 / 1_000_000.0;
+        let fault_settled: u64 = fault.iter().map(|w| w.ops + w.errors).sum();
+        let fault_attempts: u64 = fault.iter().map(|w| w.attempts).sum();
         AvailabilityCell {
-            store,
-            cl,
+            store: pt.store,
+            cl: pt.cl(),
             policy,
-            pre_tput: pre,
-            fault_goodput: goodput,
-            fault_first_try: first_try,
-            fault_errors: errors,
-            fault_attempts_per_op: att_per_op,
-            fault_p99_us: p99,
-            post_tput: post,
+            pre_tput: phase_mean(&pre, |w| w.ops_per_sec),
+            fault_goodput: phase_mean(&fault, |w| w.ops_per_sec),
+            fault_first_try: phase_mean(&fault, |w| w.first_try_ops() as f64 / secs_per_window),
+            fault_errors: fault.iter().map(|w| w.errors).sum(),
+            fault_attempts_per_op: if fault_settled == 0 {
+                0.0
+            } else {
+                fault_attempts as f64 / fault_settled as f64
+            },
+            fault_p99_us: fault.iter().map(|w| w.p99_us).max().unwrap_or(0),
+            post_tput: phase_mean(&post, |w| w.ops_per_sec),
             resilience: *out.metrics.resilience(),
             unsettled_ops: out.unsettled_ops,
             windows,
         }
     });
 
-    let mut telemetry = outcome.telemetry;
-    telemetry.record_pool(&hpool);
-    telemetry.record_pool(&cpool);
     let mut cells = outcome.results;
     cells.sort_by(|a, b| (a.store.short(), a.cl, a.policy).cmp(&(b.store.short(), b.cl, b.policy)));
     AvailabilityResult {
@@ -432,7 +353,7 @@ pub fn run_availability_with(cfg: &AvailabilityConfig, sweep: &Sweep) -> Availab
         crash_at_us: cfg.crash_at_us,
         recover_at_us: cfg.recover_at_us,
         workload: cfg.workload.name.clone(),
-        telemetry,
+        telemetry: outcome.telemetry,
     }
 }
 

@@ -10,11 +10,11 @@
 use cstore::Consistency;
 use ycsb::WorkloadSpec;
 
-use crate::driver::{self, DriverConfig};
+use crate::driver::DriverConfig;
 use crate::report::{fmt_ops, Table};
-use crate::resilience::RetryPolicy;
-use crate::setup::{build_cstore, Scale};
-use crate::sweep::{BasePool, Sweep, Telemetry};
+use crate::runner::{Point, Runner, Store};
+use crate::setup::{Scale, StoreKind};
+use crate::sweep::{Sweep, Telemetry};
 
 /// One consistency strategy of the experiment.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -263,44 +263,33 @@ pub fn run_consistency_with(cfg: &ConsistencyConfig, sweep: &Sweep) -> Consisten
     // One cell per (level, workload, target), in that nested order — the
     // cell order of the result (no final sort, matching the original
     // per-level serial loops). Each level's base state loads once.
-    let specs: Vec<(usize, usize, f64)> = cfg
+    let specs: Vec<(Point, usize, f64)> = cfg
         .levels
         .iter()
-        .enumerate()
-        .flat_map(|(l, _)| {
+        .flat_map(|&level| {
+            let p = Point {
+                store: StoreKind::CStore,
+                rf: cfg.rf,
+                level,
+            };
             (0..cfg.workloads.len())
-                .flat_map(move |w| cfg.targets.iter().map(move |&target| (l, w, target)))
+                .flat_map(move |w| cfg.targets.iter().map(move |&target| (p, w, target)))
         })
         .collect();
-    let pool: BasePool<usize, cstore::Cluster> = BasePool::new(0..cfg.levels.len());
+    let runner = Runner::new(&cfg.scale, cfg.seed, specs.iter().map(|&(p, ..)| p));
 
-    let outcome = sweep.run(cfg.seed, &specs, |ctx, &(l, w, target)| {
-        let level = cfg.levels[l];
+    let outcome = runner.sweep(sweep, &specs, |ctx, &(p, w, target)| {
         let workload = &cfg.workloads[w];
-        let mut snapshot = pool
-            .get_or_load(&l, || {
-                let mut base = build_cstore(&cfg.scale, cfg.rf, level.read, level.write);
-                driver::load(&mut base, cfg.scale.records, cfg.scale.value_len, cfg.seed);
-                base
-            })
-            .snapshot();
         let dcfg = DriverConfig {
-            workload: workload.clone(),
             threads: cfg.threads,
             target_ops_per_sec: target,
-            records: cfg.scale.records,
             value_len: cfg.scale.value_len,
             warmup_ops: cfg.warmup_ops,
             measure_ops: cfg.measure_ops,
             seed: ctx.seed,
-            faults: Default::default(),
-            timeline_window_us: 0,
-            retry: RetryPolicy::none(),
-            trace: obs::TraceConfig::off(),
-            audit: audit::AuditConfig::off(),
-            arrival: crate::driver::ArrivalMode::ClosedLoop,
+            ..DriverConfig::new(workload.clone(), cfg.scale.records)
         };
-        let run = driver::run(&mut snapshot, &dcfg);
+        let (run, _) = runner.run(&p, || Store::build(p, &cfg.scale), &dcfg);
         let repair_writes = run
             .counters
             .iter()
@@ -308,7 +297,7 @@ pub fn run_consistency_with(cfg: &ConsistencyConfig, sweep: &Sweep) -> Consisten
             .map_or(0, |(_, v)| *v);
         let (_, checked) = run.metrics.staleness();
         ConsistencyCell {
-            level: level.name,
+            level: p.level.name,
             workload: workload.name.clone(),
             target,
             runtime: run.throughput,
@@ -323,11 +312,9 @@ pub fn run_consistency_with(cfg: &ConsistencyConfig, sweep: &Sweep) -> Consisten
         }
     });
 
-    let mut telemetry = outcome.telemetry;
-    telemetry.record_pool(&pool);
     ConsistencyResult {
         cells: outcome.results,
-        telemetry,
+        telemetry: outcome.telemetry,
     }
 }
 

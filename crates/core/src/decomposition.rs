@@ -19,14 +19,11 @@ use obs::{critical_path, OpTrace, Stage, StageAgg, TraceConfig};
 use storage::OpKind;
 use ycsb::WorkloadSpec;
 
-use crate::consistency::PAPER_LEVELS;
-use crate::driver::{self, DriverConfig};
-use crate::failure::HSTORE_CL;
+use crate::driver::DriverConfig;
 use crate::report::{fmt_us, Table};
-use crate::resilience::RetryPolicy;
-use crate::setup::{build_cstore, build_hstore, Scale, StoreKind};
-use crate::sweep::{BasePool, Sweep, Telemetry};
-use faults::FaultPlan;
+use crate::runner::{paper_grid, Runner, Store};
+use crate::setup::{Scale, StoreKind};
+use crate::sweep::{Sweep, Telemetry};
 
 /// Configuration of the Fig. 6 experiment.
 #[derive(Debug, Clone)]
@@ -93,7 +90,8 @@ pub struct DecompositionCell {
     pub store: StoreKind,
     /// Replication factor.
     pub rf: u32,
-    /// Consistency strategy name ([`HSTORE_CL`] for the HBase analog).
+    /// Consistency strategy name ([`crate::failure::HSTORE_CL`] for the
+    /// HBase analog).
     pub cl: &'static str,
     /// Per-(op kind, stage) critical-path time.
     pub agg: StageAgg,
@@ -246,61 +244,20 @@ pub fn run_decomposition_with(cfg: &DecompositionConfig, sweep: &Sweep) -> Decom
     // One cell per (store, RF, consistency level), exactly the Fig. 4
     // grid: the HBase analog's single implicit strong level plus the
     // Cassandra analog's three paper levels.
-    let specs: Vec<(StoreKind, u32, usize)> = cfg
-        .rfs
-        .iter()
-        .flat_map(|&rf| {
-            std::iter::once((StoreKind::HStore, rf, 0))
-                .chain((0..PAPER_LEVELS.len()).map(move |l| (StoreKind::CStore, rf, l)))
-        })
-        .collect();
-    let hpool: BasePool<u32, hstore::Cluster> = BasePool::new(cfg.rfs.iter().copied());
-    let cpool: BasePool<(u32, usize), cstore::Cluster> = BasePool::new(
-        cfg.rfs
-            .iter()
-            .flat_map(|&rf| (0..PAPER_LEVELS.len()).map(move |l| (rf, l))),
-    );
+    let specs = paper_grid(&cfg.rfs);
+    let runner = Runner::new(&cfg.scale, cfg.seed, specs.iter().copied());
 
-    let outcome = sweep.run(cfg.seed, &specs, |ctx, &(store, rf, l)| {
+    let outcome = runner.sweep(sweep, &specs, |ctx, &p| {
         let dcfg = DriverConfig {
-            workload: cfg.workload.clone(),
             threads: cfg.threads,
-            target_ops_per_sec: 0.0,
-            records: cfg.scale.records,
             value_len: cfg.scale.value_len,
             warmup_ops: cfg.warmup_ops,
             measure_ops: cfg.measure_ops,
             seed: ctx.seed,
-            faults: FaultPlan::new(),
-            timeline_window_us: 0,
-            retry: RetryPolicy::none(),
             trace: TraceConfig::every(cfg.sample_every),
-            audit: audit::AuditConfig::off(),
-            arrival: crate::driver::ArrivalMode::ClosedLoop,
+            ..DriverConfig::new(cfg.workload.clone(), cfg.scale.records)
         };
-        let (cl, out) = match store {
-            StoreKind::HStore => {
-                let mut snapshot = hpool
-                    .get_or_load(&rf, || {
-                        let mut base = build_hstore(&cfg.scale, rf);
-                        driver::load(&mut base, cfg.scale.records, cfg.scale.value_len, cfg.seed);
-                        base
-                    })
-                    .snapshot();
-                (HSTORE_CL, driver::run(&mut snapshot, &dcfg))
-            }
-            StoreKind::CStore => {
-                let level = PAPER_LEVELS[l];
-                let mut snapshot = cpool
-                    .get_or_load(&(rf, l), || {
-                        let mut base = build_cstore(&cfg.scale, rf, level.read, level.write);
-                        driver::load(&mut base, cfg.scale.records, cfg.scale.value_len, cfg.seed);
-                        base
-                    })
-                    .snapshot();
-                (level.name, driver::run(&mut snapshot, &dcfg))
-            }
-        };
+        let (out, _) = runner.run(&p, || Store::build(p, &cfg.scale), &dcfg);
         let trace = out.trace.unwrap_or_default();
         let mut agg = StageAgg::new();
         let mut exact = true;
@@ -320,9 +277,9 @@ pub fn run_decomposition_with(cfg: &DecompositionConfig, sweep: &Sweep) -> Decom
             }
         }
         DecompositionCell {
-            store,
-            rf,
-            cl,
+            store: p.store,
+            rf: p.rf,
+            cl: p.cl(),
             agg,
             ops_traced,
             exact,
@@ -330,21 +287,19 @@ pub fn run_decomposition_with(cfg: &DecompositionConfig, sweep: &Sweep) -> Decom
         }
     });
 
-    let mut telemetry = outcome.telemetry;
-    telemetry.record_pool(&hpool);
-    telemetry.record_pool(&cpool);
     let mut cells = outcome.results;
     cells.sort_by(|a, b| (a.store.short(), a.rf, a.cl).cmp(&(b.store.short(), b.rf, b.cl)));
     DecompositionResult {
         cells,
         workload: cfg.workload.name.clone(),
-        telemetry,
+        telemetry: outcome.telemetry,
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::failure::HSTORE_CL;
 
     fn res() -> DecompositionResult {
         run_decomposition(&DecompositionConfig::quick())

@@ -16,25 +16,32 @@
 //! Cassandra analog degrades per consistency level — CL=ONE mostly rides
 //! through, write-ALL refuses writes on every range replicated on the
 //! victim until it returns.
+//!
+//! Fig. 8 audits the same crash grid: [`run_crash_grid_with`] runs every
+//! cell once with both the timeline and the audit history recording (both
+//! probes are pure bookkeeping, so neither perturbs the run), and
+//! [`FailureResult`] and [`AuditResult`] are its two projections.
 
 use faults::FaultPlan;
 use simkit::NodeId;
 use ycsb::{TimelineWindow, WorkloadSpec};
 
-use crate::consistency::PAPER_LEVELS;
-use crate::driver::{self, DriverConfig};
+use crate::audit_experiment::{audit_cell, AuditResult};
+use crate::driver::{DriverConfig, RunOutcome};
 use crate::report::{fmt_ops, Table};
-use crate::resilience::RetryPolicy;
-use crate::setup::{build_cstore_with, build_hstore_with, Scale, StoreKind};
-use crate::sweep::{BasePool, Sweep, Telemetry};
+use crate::runner::{paper_grid, Point, Runner, Store};
+use crate::setup::{Scale, StoreKind};
+use crate::sweep::{Sweep, Telemetry};
 
 /// The consistency label used for the HBase analog, which has no
 /// consistency knob (HBase is always strongly consistent).
 pub const HSTORE_CL: &str = "strong";
 
-/// Configuration of the Fig. 4 experiment.
+/// Configuration of the crash grid behind Fig. 4 and Fig. 8: both stores
+/// over RF × consistency level, a constant-rate workload, and one node
+/// crashing and recovering mid-run.
 #[derive(Debug, Clone)]
-pub struct FailureConfig {
+pub struct CrashGridConfig {
     /// Record/cache scale.
     pub scale: Scale,
     /// Replication factors to sweep.
@@ -67,9 +74,18 @@ pub struct FailureConfig {
     pub workload: WorkloadSpec,
     /// Seed.
     pub seed: u64,
+    /// The Δ grid (µs) for Fig. 8's (Δ,p)-staleness columns.
+    pub deltas_us: Vec<u64>,
+    /// How many of the hottest keys get the linearizability check.
+    pub lin_keys: usize,
+    /// Search-node budget per checked key.
+    pub lin_budget: u64,
 }
 
-impl Default for FailureConfig {
+/// Configuration of the Fig. 4 experiment: the crash grid.
+pub type FailureConfig = CrashGridConfig;
+
+impl Default for CrashGridConfig {
     fn default() -> Self {
         Self {
             scale: Scale::stress(),
@@ -86,16 +102,18 @@ impl Default for FailureConfig {
             victim: NodeId(0),
             workload: WorkloadSpec::read_update(),
             seed: 42,
+            deltas_us: vec![0, 1_000, 10_000, 100_000, 1_000_000],
+            lin_keys: 8,
+            lin_budget: 500_000,
         }
     }
 }
 
-impl FailureConfig {
+impl CrashGridConfig {
     /// A fast variant for tests and smoke runs.
     pub fn quick() -> Self {
         Self {
             scale: Scale::tiny(),
-            rfs: vec![1, 3, 5],
             threads: 8,
             target_ops_per_sec: 2_000.0,
             warmup_ops: 400,
@@ -105,9 +123,9 @@ impl FailureConfig {
             window_us: 150_000,
             rpc_timeout_us: 120_000,
             failover_delay_us: 300_000,
-            victim: NodeId(0),
-            workload: WorkloadSpec::read_update(),
-            seed: 42,
+            lin_keys: 4,
+            lin_budget: 200_000,
+            ..Self::default()
         }
     }
 }
@@ -152,16 +170,8 @@ pub struct FailureResult {
     pub telemetry: Telemetry,
 }
 
-/// Phase aggregates extracted from one timeline.
-struct PhaseStats {
-    pre: f64,
-    fault: f64,
-    fault_min: f64,
-    fault_errors: u64,
-    post: f64,
-}
-
-/// Split a timeline into the pre/fault/post phases of one crash window.
+/// Split a timeline into the `[pre, fault, post]` phases of one crash
+/// window:
 ///
 /// * *pre* — full windows ending at or before the crash, skipping the
 ///   first window (thread-stagger ramp) when more than one qualifies;
@@ -170,47 +180,34 @@ struct PhaseStats {
 ///   (the recovery transient — hint replay, cache refill — belongs to
 ///   neither phase), excluding the final window, which the end of the
 ///   run truncates.
-fn phase_stats(
+pub(crate) fn split_phases(
     windows: &[TimelineWindow],
     crash_at: u64,
     recover_at: u64,
     window_us: u64,
-) -> PhaseStats {
-    let mean = |ws: &[&TimelineWindow]| -> f64 {
-        if ws.is_empty() {
-            0.0
-        } else {
-            ws.iter().map(|w| w.ops_per_sec).sum::<f64>() / ws.len() as f64
-        }
-    };
-    let pre_all: Vec<&TimelineWindow> = windows.iter().filter(|w| w.end_us <= crash_at).collect();
-    let pre = if pre_all.len() > 1 {
-        &pre_all[1..]
-    } else {
-        &pre_all[..]
-    };
-    let fault: Vec<&TimelineWindow> = windows
+) -> [Vec<&TimelineWindow>; 3] {
+    let mut pre: Vec<&TimelineWindow> = windows.iter().filter(|w| w.end_us <= crash_at).collect();
+    if pre.len() > 1 {
+        pre.remove(0);
+    }
+    let fault = windows
         .iter()
         .filter(|w| w.start_us >= crash_at && w.start_us < recover_at)
         .collect();
     let last_start = windows.last().map_or(0, |w| w.start_us);
-    let post: Vec<&TimelineWindow> = windows
+    let post = windows
         .iter()
         .filter(|w| w.start_us >= recover_at + window_us && w.start_us < last_start)
         .collect();
-    PhaseStats {
-        pre: mean(pre),
-        fault: mean(&fault),
-        fault_min: if fault.is_empty() {
-            0.0
-        } else {
-            fault
-                .iter()
-                .map(|w| w.ops_per_sec)
-                .fold(f64::INFINITY, f64::min)
-        },
-        fault_errors: fault.iter().map(|w| w.errors).sum(),
-        post: mean(&post),
+    [pre, fault, post]
+}
+
+/// Mean of `f` over a phase's windows (0 for an empty phase).
+pub(crate) fn phase_mean(ws: &[&TimelineWindow], f: impl Fn(&TimelineWindow) -> f64) -> f64 {
+    if ws.is_empty() {
+        0.0
+    } else {
+        ws.iter().map(|w| f(w)).sum::<f64>() / ws.len() as f64
     }
 }
 
@@ -303,112 +300,124 @@ impl FailureResult {
     }
 }
 
-/// Run the full Fig. 4 experiment through the sweep engine.
-pub fn run_failure(cfg: &FailureConfig) -> FailureResult {
-    run_failure_with(cfg, &Sweep::from_env())
+/// Build `p` with the crash plan's client RPC timeout (both stores) and
+/// failure-detection window (HBase analog).
+pub(crate) fn build_crashable(
+    p: Point,
+    scale: &Scale,
+    rpc_timeout_us: u64,
+    failover_delay_us: u64,
+) -> Store {
+    Store::build_with(
+        p,
+        scale,
+        |h| {
+            h.rpc_timeout_us = rpc_timeout_us;
+            h.failover_delay_us = failover_delay_us;
+        },
+        |c| c.rpc_timeout_us = rpc_timeout_us,
+    )
 }
 
-/// [`run_failure`] on a caller-configured engine.
-pub fn run_failure_with(cfg: &FailureConfig, sweep: &Sweep) -> FailureResult {
-    // One cell per (store, RF, consistency level): the HBase analog has a
-    // single implicit level; the Cassandra analog sweeps the paper's
-    // three. Consistency is baked into the cstore config, so each cell
-    // gets its own loaded base (pooled only for telemetry accounting).
-    let specs: Vec<(StoreKind, u32, usize)> = cfg
-        .rfs
-        .iter()
-        .flat_map(|&rf| {
-            std::iter::once((StoreKind::HStore, rf, 0))
-                .chain((0..PAPER_LEVELS.len()).map(move |l| (StoreKind::CStore, rf, l)))
-        })
-        .collect();
-    let hpool: BasePool<u32, hstore::Cluster> = BasePool::new(cfg.rfs.iter().copied());
-    let cpool: BasePool<(u32, usize), cstore::Cluster> = BasePool::new(
-        cfg.rfs
-            .iter()
-            .flat_map(|&rf| (0..PAPER_LEVELS.len()).map(move |l| (rf, l))),
-    );
+/// Reduce one crash-grid run to its Fig. 4 timeline and phase summary.
+fn failure_cell(cfg: &CrashGridConfig, p: Point, out: &RunOutcome) -> FailureCell {
+    let windows = out
+        .metrics
+        .timeline()
+        .map(|t| t.windows())
+        .unwrap_or_default();
+    let [pre, fault, post] =
+        split_phases(&windows, cfg.crash_at_us, cfg.recover_at_us, cfg.window_us);
+    let ops_per_sec = |w: &TimelineWindow| w.ops_per_sec;
+    FailureCell {
+        store: p.store,
+        rf: p.rf,
+        cl: p.cl(),
+        pre_tput: phase_mean(&pre, ops_per_sec),
+        fault_tput: phase_mean(&fault, ops_per_sec),
+        fault_min_tput: if fault.is_empty() {
+            0.0
+        } else {
+            fault
+                .iter()
+                .map(|w| w.ops_per_sec)
+                .fold(f64::INFINITY, f64::min)
+        },
+        fault_errors: fault.iter().map(|w| w.errors).sum(),
+        post_tput: phase_mean(&post, ops_per_sec),
+        faults_injected: out.faults_injected,
+        windows,
+    }
+}
 
-    let outcome = sweep.run(cfg.seed, &specs, |ctx, &(store, rf, l)| {
+/// Run the crash grid once per (store, RF, consistency level) cell, with
+/// the timeline and the audit history both recording, and project it into
+/// the Fig. 4 and Fig. 8 results.
+pub fn run_crash_grid_with(cfg: &CrashGridConfig, sweep: &Sweep) -> (FailureResult, AuditResult) {
+    // The HBase analog has a single implicit level; the Cassandra analog
+    // sweeps the paper's three. Consistency is baked into the cstore
+    // config, so each cell gets its own loaded base.
+    let specs = paper_grid(&cfg.rfs);
+    let runner = Runner::new(&cfg.scale, cfg.seed, specs.iter().copied());
+    let phases = cfg.phases();
+
+    let outcome = runner.sweep(sweep, &specs, |ctx, &p| {
         let dcfg = DriverConfig {
-            workload: cfg.workload.clone(),
             threads: cfg.threads,
             target_ops_per_sec: cfg.target_ops_per_sec,
-            records: cfg.scale.records,
             value_len: cfg.scale.value_len,
             warmup_ops: cfg.warmup_ops,
             measure_ops: cfg.measure_ops,
             seed: ctx.seed,
             faults: FaultPlan::new().crash_window(cfg.victim, cfg.crash_at_us, cfg.recover_at_us),
             timeline_window_us: cfg.window_us,
-            // Fig. 4 keeps the paper's fair-weather client; Fig. 5 reruns
+            // The paper's fair-weather client (no retries): what the client
+            // sees without resilience machinery in the way. Fig. 5 reruns
             // this plan under real retry policies.
-            retry: RetryPolicy::none(),
-            trace: obs::TraceConfig::off(),
-            audit: audit::AuditConfig::off(),
-            arrival: crate::driver::ArrivalMode::ClosedLoop,
+            audit: audit::AuditConfig::all(),
+            ..DriverConfig::new(cfg.workload.clone(), cfg.scale.records)
         };
-        let (cl, out) = match store {
-            StoreKind::HStore => {
-                let mut snapshot = hpool
-                    .get_or_load(&rf, || {
-                        let mut base = build_hstore_with(&cfg.scale, rf, |c| {
-                            c.rpc_timeout_us = cfg.rpc_timeout_us;
-                            c.failover_delay_us = cfg.failover_delay_us;
-                        });
-                        driver::load(&mut base, cfg.scale.records, cfg.scale.value_len, cfg.seed);
-                        base
-                    })
-                    .snapshot();
-                (HSTORE_CL, driver::run(&mut snapshot, &dcfg))
-            }
-            StoreKind::CStore => {
-                let level = PAPER_LEVELS[l];
-                let mut snapshot = cpool
-                    .get_or_load(&(rf, l), || {
-                        let mut base =
-                            build_cstore_with(&cfg.scale, rf, level.read, level.write, |c| {
-                                c.rpc_timeout_us = cfg.rpc_timeout_us;
-                            });
-                        driver::load(&mut base, cfg.scale.records, cfg.scale.value_len, cfg.seed);
-                        base
-                    })
-                    .snapshot();
-                (level.name, driver::run(&mut snapshot, &dcfg))
-            }
-        };
-        let windows = out
-            .metrics
-            .timeline()
-            .map(|t| t.windows())
-            .unwrap_or_default();
-        let ph = phase_stats(&windows, cfg.crash_at_us, cfg.recover_at_us, cfg.window_us);
-        FailureCell {
-            store,
-            rf,
-            cl,
-            pre_tput: ph.pre,
-            fault_tput: ph.fault,
-            fault_min_tput: ph.fault_min,
-            fault_errors: ph.fault_errors,
-            post_tput: ph.post,
-            faults_injected: out.faults_injected,
-            windows,
-        }
+        let build = || build_crashable(p, &cfg.scale, cfg.rpc_timeout_us, cfg.failover_delay_us);
+        let (out, _) = runner.run(&p, build, &dcfg);
+        (
+            failure_cell(cfg, p, &out),
+            audit_cell(cfg, p, &out, &phases),
+        )
     });
 
-    let mut telemetry = outcome.telemetry;
-    telemetry.record_pool(&hpool);
-    telemetry.record_pool(&cpool);
     let mut cells = outcome.results;
-    cells.sort_by(|a, b| (a.store.short(), a.rf, a.cl).cmp(&(b.store.short(), b.rf, b.cl)));
-    FailureResult {
-        cells,
-        crash_at_us: cfg.crash_at_us,
-        recover_at_us: cfg.recover_at_us,
-        workload: cfg.workload.name.clone(),
-        telemetry,
-    }
+    cells.sort_by(|(a, _), (b, _)| {
+        (a.store.short(), a.rf, a.cl).cmp(&(b.store.short(), b.rf, b.cl))
+    });
+    let (failure, audit): (Vec<FailureCell>, _) = cells.into_iter().unzip();
+    (
+        FailureResult {
+            cells: failure,
+            crash_at_us: cfg.crash_at_us,
+            recover_at_us: cfg.recover_at_us,
+            workload: cfg.workload.name.clone(),
+            telemetry: outcome.telemetry.clone(),
+        },
+        AuditResult {
+            cells: audit,
+            crash_at_us: cfg.crash_at_us,
+            recover_at_us: cfg.recover_at_us,
+            deltas_us: cfg.deltas_us.clone(),
+            workload: cfg.workload.name.clone(),
+            telemetry: outcome.telemetry,
+        },
+    )
+}
+
+/// Run the full Fig. 4 experiment through the sweep engine.
+pub fn run_failure(cfg: &FailureConfig) -> FailureResult {
+    run_failure_with(cfg, &Sweep::from_env())
+}
+
+/// [`run_failure`] on a caller-configured engine: the Fig. 4 projection of
+/// [`run_crash_grid_with`].
+pub fn run_failure_with(cfg: &FailureConfig, sweep: &Sweep) -> FailureResult {
+    run_crash_grid_with(cfg, sweep).0
 }
 
 #[cfg(test)]
@@ -483,5 +492,8 @@ mod tests {
             all.fault_tput
         );
         assert!(one.fault_errors <= all.fault_errors);
+        // One ack suffices with a replica down: CL=ONE serves every op of
+        // the outage without a client-visible error.
+        assert_eq!(one.fault_errors, 0, "CL=ONE should ride through: {one:?}");
     }
 }

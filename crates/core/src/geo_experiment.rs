@@ -21,11 +21,11 @@ use hstore::HStoreConfig;
 use ycsb::{balanced_tokens, WorkloadSpec};
 
 use crate::consistency::Level;
-use crate::driver::{self, ArrivalMode, DriverConfig};
+use crate::driver::{self, DriverConfig};
 use crate::report::{fmt_ops, Table};
-use crate::resilience::RetryPolicy;
+use crate::runner::{Runner, Store};
 use crate::setup::{Scale, StoreKind};
-use crate::sweep::{BasePool, Sweep, Telemetry};
+use crate::sweep::{Sweep, Telemetry};
 
 /// The level label used for the HBase analog's async-replication rows
 /// (HBase has no consistency knob; geo mode adds asynchrony, not a level).
@@ -310,20 +310,14 @@ fn build_geo_hstore(cfg: &GeoExperimentConfig, regions: u32) -> hstore::Cluster 
 
 fn driver_config(cfg: &GeoExperimentConfig, seed: u64) -> DriverConfig {
     DriverConfig {
-        workload: cfg.workload.clone(),
         threads: cfg.threads,
         target_ops_per_sec: cfg.target_ops_per_sec,
-        records: cfg.scale.records,
         value_len: cfg.scale.value_len,
         warmup_ops: cfg.warmup_ops,
         measure_ops: cfg.measure_ops,
         seed,
         faults: cfg.faults.clone(),
-        timeline_window_us: 0,
-        retry: RetryPolicy::none(),
-        trace: obs::TraceConfig::off(),
-        audit: audit::AuditConfig::off(),
-        arrival: ArrivalMode::ClosedLoop,
+        ..DriverConfig::new(cfg.workload.clone(), cfg.scale.records)
     }
 }
 
@@ -353,75 +347,48 @@ pub fn run_geo_with(cfg: &GeoExperimentConfig, sweep: &Sweep) -> GeoResult {
                 .chain(std::iter::once((r, None)))
         })
         .collect();
-    let cpool: BasePool<(u32, usize), cstore::Cluster> = BasePool::new(
-        cfg.region_counts
-            .iter()
-            .flat_map(|&r| (0..cfg.levels.len()).map(move |l| (r, l))),
-    );
-    let hpool: BasePool<u32, hstore::Cluster> = BasePool::new(cfg.region_counts.iter().copied());
+    let runner = Runner::new(&cfg.scale, cfg.seed, specs.iter().copied());
 
-    let outcome = sweep.run(cfg.seed, &specs, |_ctx, &(regions, level_idx)| {
+    let outcome = runner.sweep(sweep, &specs, |_ctx, &(regions, level_idx)| {
         // Cells with equal region counts share one driver seed so levels
         // that must coincide (single-region LOCAL_QUORUM vs QUORUM) stay
         // bit-identical; different region counts get distinct streams.
         let cell_seed = cfg.seed ^ (u64::from(regions) << 17);
-        match level_idx {
-            Some(l) => {
-                let level = cfg.levels[l];
-                let mut snapshot = cpool
-                    .get_or_load(&(regions, l), || {
-                        let mut base = build_geo_cstore(cfg, regions, level);
-                        driver::load(&mut base, cfg.scale.records, cfg.scale.value_len, cfg.seed);
-                        base
-                    })
-                    .snapshot();
-                let run = driver::run(&mut snapshot, &driver_config(cfg, cell_seed));
-                GeoCell {
-                    store: StoreKind::CStore,
-                    regions,
-                    level: level.name,
-                    rf_total: cfg.rf_per_dc * regions,
-                    runtime: run.throughput,
-                    goodput: goodput(&run, cfg.measure_ops),
-                    mean_us: run.mean_latency_us,
-                    p99_us: run.metrics.overall().quantile(0.99),
-                    errors: run.errors,
-                    stale_fraction: run.stale_fraction,
-                    repl_window_us: 0.0,
-                }
-            }
-            None => {
-                let mut snapshot = hpool
-                    .get_or_load(&regions, || {
-                        let mut base = build_geo_hstore(cfg, regions);
-                        driver::load(&mut base, cfg.scale.records, cfg.scale.value_len, cfg.seed);
-                        base
-                    })
-                    .snapshot();
-                let run = driver::run(&mut snapshot, &driver_config(cfg, cell_seed));
-                GeoCell {
-                    store: StoreKind::HStore,
-                    regions,
-                    level: HSTORE_LEVEL,
-                    rf_total: cfg.rf_per_dc.min(cfg.nodes_per_region as u32) * regions,
-                    runtime: run.throughput,
-                    goodput: goodput(&run, cfg.measure_ops),
-                    mean_us: run.mean_latency_us,
-                    p99_us: run.metrics.overall().quantile(0.99),
-                    errors: run.errors,
-                    stale_fraction: run.stale_fraction,
-                    repl_window_us: snapshot.mean_replication_window_us(),
-                }
-            }
+        let build = || match level_idx {
+            Some(l) => Store::C(build_geo_cstore(cfg, regions, cfg.levels[l])),
+            None => Store::H(build_geo_hstore(cfg, regions)),
+        };
+        let (run, snapshot) =
+            runner.run(&(regions, level_idx), build, &driver_config(cfg, cell_seed));
+        let (store, level, rf_per_dc) = match level_idx {
+            Some(l) => (StoreKind::CStore, cfg.levels[l].name, cfg.rf_per_dc),
+            None => (
+                StoreKind::HStore,
+                HSTORE_LEVEL,
+                cfg.rf_per_dc.min(cfg.nodes_per_region as u32),
+            ),
+        };
+        GeoCell {
+            store,
+            regions,
+            level,
+            rf_total: rf_per_dc * regions,
+            runtime: run.throughput,
+            goodput: goodput(&run, cfg.measure_ops),
+            mean_us: run.mean_latency_us,
+            p99_us: run.metrics.overall().quantile(0.99),
+            errors: run.errors,
+            stale_fraction: run.stale_fraction,
+            repl_window_us: match &snapshot {
+                Store::H(h) => h.mean_replication_window_us(),
+                Store::C(_) => 0.0,
+            },
         }
     });
 
-    let mut telemetry = outcome.telemetry;
-    telemetry.record_pool(&cpool);
-    telemetry.record_pool(&hpool);
     GeoResult {
         cells: outcome.results,
-        telemetry,
+        telemetry: outcome.telemetry,
     }
 }
 

@@ -58,6 +58,10 @@
 //!   ops/sec regression gates.
 //! * [`sla`] — the paper's §6 future work: SLA-based stress specification
 //!   (bisection search for the highest throughput meeting a latency SLA).
+//! * [`runner`] — the cell runner every sweep-based experiment runs its
+//!   cells through: one pool of loaded base states keyed by the
+//!   experiment's own cell key, and one build → load → snapshot → run path
+//!   over either store analog.
 //! * [`sweep`] — the shared experiment engine every module above runs on:
 //!   deterministic per-cell seed derivation, a self-scheduling parallel
 //!   executor, ordered result collection with wall-time telemetry, and
@@ -80,6 +84,7 @@ pub mod overload;
 pub mod perf;
 pub mod report;
 pub mod resilience;
+pub mod runner;
 pub mod setup;
 pub mod sla;
 pub mod store;

@@ -8,12 +8,11 @@
 use storage::OpKind;
 use ycsb::WorkloadSpec;
 
-use crate::driver::{self, DriverConfig};
+use crate::driver::DriverConfig;
 use crate::report::{fmt_us, Table};
-use crate::resilience::RetryPolicy;
-use crate::setup::{build_cstore, build_hstore, Scale, StoreKind};
-use crate::sweep::{BasePool, Sweep, Telemetry};
-use cstore::Consistency;
+use crate::runner::{Point, Runner, Store};
+use crate::setup::{Scale, StoreKind};
+use crate::sweep::{Sweep, Telemetry};
 
 /// The micro-test round order used by the paper.
 pub const MICRO_OPS: [OpKind; 4] = [OpKind::Update, OpKind::Read, OpKind::Insert, OpKind::Scan];
@@ -171,25 +170,6 @@ impl MicroResult {
     }
 }
 
-fn micro_driver_cfg(cfg: &MicroConfig, op: OpKind, seed: u64) -> DriverConfig {
-    DriverConfig {
-        workload: WorkloadSpec::micro(op),
-        threads: cfg.threads,
-        target_ops_per_sec: cfg.target_ops_per_sec,
-        records: cfg.scale.records,
-        value_len: cfg.scale.value_len,
-        warmup_ops: cfg.warmup_ops,
-        measure_ops: cfg.measure_ops,
-        seed,
-        faults: Default::default(),
-        timeline_window_us: 0,
-        retry: RetryPolicy::none(),
-        trace: obs::TraceConfig::off(),
-        audit: audit::AuditConfig::off(),
-        arrival: crate::driver::ArrivalMode::ClosedLoop,
-    }
-}
-
 /// Run the full Fig. 1 experiment through the sweep engine.
 pub fn run_micro(cfg: &MicroConfig) -> MicroResult {
     run_micro_with(cfg, &Sweep::from_env())
@@ -200,47 +180,32 @@ pub fn run_micro(cfg: &MicroConfig) -> MicroResult {
 pub fn run_micro_with(cfg: &MicroConfig, sweep: &Sweep) -> MicroResult {
     // One cell per (store, RF, operation round); each (store, RF) base
     // state is bulk-loaded once and snapshot-cloned per round.
-    let specs: Vec<(StoreKind, u32, OpKind)> = cfg
+    let specs: Vec<(Point, OpKind)> = cfg
         .rfs
         .iter()
         .flat_map(|&rf| {
             [StoreKind::HStore, StoreKind::CStore]
                 .into_iter()
-                .flat_map(move |store| MICRO_OPS.iter().map(move |&op| (store, rf, op)))
+                .flat_map(move |store| MICRO_OPS.iter().map(move |&op| (Point::new(store, rf), op)))
         })
         .collect();
-    let hpool: BasePool<u32, hstore::Cluster> = BasePool::new(cfg.rfs.iter().copied());
-    let cpool: BasePool<u32, cstore::Cluster> = BasePool::new(cfg.rfs.iter().copied());
+    let runner = Runner::new(&cfg.scale, cfg.seed, specs.iter().map(|&(p, _)| p));
 
-    let outcome = sweep.run(cfg.seed, &specs, |ctx, &(store, rf, op)| {
-        let dcfg = micro_driver_cfg(cfg, op, ctx.seed);
-        let out = match store {
-            StoreKind::HStore => {
-                let mut snapshot = hpool
-                    .get_or_load(&rf, || {
-                        let mut base = build_hstore(&cfg.scale, rf);
-                        driver::load(&mut base, cfg.scale.records, cfg.scale.value_len, cfg.seed);
-                        base
-                    })
-                    .snapshot();
-                driver::run(&mut snapshot, &dcfg)
-            }
-            StoreKind::CStore => {
-                let mut snapshot = cpool
-                    .get_or_load(&rf, || {
-                        let mut base =
-                            build_cstore(&cfg.scale, rf, Consistency::One, Consistency::One);
-                        driver::load(&mut base, cfg.scale.records, cfg.scale.value_len, cfg.seed);
-                        base
-                    })
-                    .snapshot();
-                driver::run(&mut snapshot, &dcfg)
-            }
+    let outcome = runner.sweep(sweep, &specs, |ctx, &(p, op)| {
+        let dcfg = DriverConfig {
+            threads: cfg.threads,
+            target_ops_per_sec: cfg.target_ops_per_sec,
+            value_len: cfg.scale.value_len,
+            warmup_ops: cfg.warmup_ops,
+            measure_ops: cfg.measure_ops,
+            seed: ctx.seed,
+            ..DriverConfig::new(WorkloadSpec::micro(op), cfg.scale.records)
         };
+        let (out, _) = runner.run(&p, || Store::build(p, &cfg.scale), &dcfg);
         let hist = out.metrics.for_op(op).cloned().unwrap_or_default();
         MicroCell {
-            store,
-            rf,
+            store: p.store,
+            rf: p.rf,
             op,
             mean_us: hist.mean(),
             p95_us: hist.p95(),
@@ -248,12 +213,12 @@ pub fn run_micro_with(cfg: &MicroConfig, sweep: &Sweep) -> MicroResult {
         }
     });
 
-    let mut telemetry = outcome.telemetry;
-    telemetry.record_pool(&hpool);
-    telemetry.record_pool(&cpool);
     let mut cells = outcome.results;
     cells.sort_by_key(|c| (c.store.short(), c.rf, c.op));
-    MicroResult { cells, telemetry }
+    MicroResult {
+        cells,
+        telemetry: outcome.telemetry,
+    }
 }
 
 #[cfg(test)]

@@ -26,16 +26,17 @@
 #![deny(clippy::unwrap_used, clippy::expect_used)]
 
 use cstore::Consistency;
-use faults::FaultPlan;
 use simkit::{AdmissionConfig, AdmissionPolicy};
 use ycsb::{FlashCrowd, OpenLoop, Tenant, WorkloadSpec};
 
+use crate::consistency::Level;
 use crate::driver::{self, ArrivalMode, DriverConfig};
 use crate::report::{fmt_ops, Table};
 use crate::resilience::RetryPolicy;
-use crate::setup::{self, Scale, StoreKind};
+use crate::runner::{Point, Runner, Store};
+use crate::setup::{Scale, StoreKind};
 use crate::sla::Sla;
-use crate::sweep::{BasePool, Sweep, Telemetry};
+use crate::sweep::{Sweep, Telemetry};
 
 /// Row label for the uncontrolled arm.
 pub const CONTROL_OFF: &str = "none";
@@ -305,22 +306,15 @@ impl OverloadResult {
 
 fn driver_config(cfg: &OverloadConfig, seed: u64, offered: f64) -> DriverConfig {
     DriverConfig {
-        workload: cfg.workload.clone(),
         threads: 1,
-        target_ops_per_sec: 0.0,
-        records: cfg.scale.records,
         value_len: cfg.scale.value_len,
         warmup_ops: cfg.warmup_ops,
         measure_ops: cfg.measure_ops,
         seed,
-        faults: FaultPlan::new(),
-        timeline_window_us: 0,
         retry: RetryPolicy {
             deadline_us: cfg.deadline_us,
             ..RetryPolicy::none()
         },
-        trace: obs::TraceConfig::off(),
-        audit: audit::AuditConfig::off(),
         arrival: ArrivalMode::OpenLoop(OpenLoop {
             ops_per_sec: offered,
             diurnal_amplitude: cfg.diurnal_amplitude,
@@ -328,6 +322,7 @@ fn driver_config(cfg: &OverloadConfig, seed: u64, offered: f64) -> DriverConfig 
             flash: cfg.flash,
             tenants: cfg.tenants.clone(),
         }),
+        ..DriverConfig::new(cfg.workload.clone(), cfg.scale.records)
     }
 }
 
@@ -394,62 +389,46 @@ pub fn run_overload_with(cfg: &OverloadConfig, sweep: &Sweep) -> OverloadResult 
     // One loaded base per (store, control arm): the admission config is
     // cluster state, so each arm gets its own base; every load step then
     // snapshots copy-on-write from it.
-    let cpool: BasePool<bool, cstore::Cluster> = BasePool::new([false, true]);
-    let hpool: BasePool<bool, hstore::Cluster> = BasePool::new([false, true]);
+    let runner = Runner::new(&cfg.scale, cfg.seed, specs.iter().map(|&(s, c, _)| (s, c)));
+    let level = Level {
+        name: "configured",
+        read: cfg.read_cl,
+        write: cfg.write_cl,
+    };
 
-    let outcome = sweep.run(cfg.seed, &specs, |_ctx, &(store, control, li)| {
+    let outcome = runner.sweep(sweep, &specs, |_ctx, &(store, control, li)| {
         let offered = cfg.offered_loads[li];
         // Control arms at the same (store, load) share a seed: identical
         // arrival sequence, so the shed/no-shed comparison is paired.
         let cell_seed =
             cfg.seed ^ ((li as u64 + 1) << 17) ^ (u64::from(store == StoreKind::HStore) << 33);
         let dcfg = driver_config(cfg, cell_seed, offered);
-        let run = match store {
-            StoreKind::CStore => {
-                let mut snapshot = cpool
-                    .get_or_load(&control, || {
-                        let mut base = setup::build_cstore_with(
-                            &cfg.scale,
-                            cfg.rf,
-                            cfg.read_cl,
-                            cfg.write_cl,
-                            |c| {
-                                if control {
-                                    c.admission = cfg.admission;
-                                }
-                            },
-                        );
-                        driver::load(&mut base, cfg.scale.records, cfg.scale.value_len, cfg.seed);
-                        base
-                    })
-                    .snapshot();
-                driver::run(&mut snapshot, &dcfg)
-            }
-            StoreKind::HStore => {
-                let mut snapshot = hpool
-                    .get_or_load(&control, || {
-                        let mut base = setup::build_hstore_with(&cfg.scale, cfg.rf, |h| {
-                            if control {
-                                h.admission = cfg.admission;
-                            }
-                        });
-                        driver::load(&mut base, cfg.scale.records, cfg.scale.value_len, cfg.seed);
-                        base
-                    })
-                    .snapshot();
-                driver::run(&mut snapshot, &dcfg)
-            }
+        let admission = if control {
+            cfg.admission
+        } else {
+            AdmissionConfig::off()
         };
+        let p = Point {
+            store,
+            rf: cfg.rf,
+            level,
+        };
+        let build = || {
+            Store::build_with(
+                p,
+                &cfg.scale,
+                |h| h.admission = admission,
+                |c| c.admission = admission,
+            )
+        };
+        let (run, _) = runner.run(&(store, control), build, &dcfg);
         cell_from(cfg, store, control, offered, &run)
     });
 
-    let mut telemetry = outcome.telemetry;
-    telemetry.record_pool(&cpool);
-    telemetry.record_pool(&hpool);
     OverloadResult {
         cells: outcome.results,
         tenant_names: cfg.tenants.iter().map(|t| t.name).collect(),
-        telemetry,
+        telemetry: outcome.telemetry,
     }
 }
 

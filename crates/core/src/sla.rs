@@ -15,7 +15,6 @@ use faults::FaultTarget;
 
 use crate::driver::{self, DriverConfig};
 use crate::report::{fmt_ops, fmt_us, Table};
-use crate::resilience::RetryPolicy;
 use crate::setup::Scale;
 use crate::store::SimStore;
 use crate::sweep::Sweep;
@@ -160,20 +159,13 @@ where
             .run(cfg.seed, &[target], |ctx, &target| {
                 let mut snapshot = base.snapshot();
                 let dcfg = DriverConfig {
-                    workload: cfg.workload.clone(),
                     threads: cfg.threads,
                     target_ops_per_sec: target,
-                    records: cfg.scale.records,
                     value_len: cfg.scale.value_len,
                     warmup_ops: cfg.warmup_ops,
                     measure_ops: cfg.measure_ops,
                     seed: ctx.seed,
-                    faults: Default::default(),
-                    timeline_window_us: 0,
-                    retry: RetryPolicy::none(),
-                    trace: obs::TraceConfig::off(),
-                    audit: audit::AuditConfig::off(),
-                    arrival: crate::driver::ArrivalMode::ClosedLoop,
+                    ..DriverConfig::new(cfg.workload.clone(), cfg.scale.records)
                 };
                 let out = driver::run(&mut snapshot, &dcfg);
                 let q = out.metrics.overall().quantile(cfg.sla.percentile);

@@ -8,13 +8,11 @@
 
 use ycsb::WorkloadSpec;
 
-use crate::driver::{self, DriverConfig};
+use crate::driver::{DriverConfig, RunOutcome};
 use crate::report::{fmt_ops, fmt_us, Table};
-use crate::resilience::RetryPolicy;
-use crate::setup::{build_cstore, build_hstore, Scale, StoreKind};
-use crate::store::SimStore;
-use crate::sweep::{BasePool, Sweep, Telemetry};
-use cstore::Consistency;
+use crate::runner::{Point, Runner, Store};
+use crate::setup::{Scale, StoreKind};
+use crate::sweep::{Sweep, Telemetry};
 
 /// Configuration of the Fig. 2 experiment.
 #[derive(Debug, Clone)]
@@ -205,53 +203,6 @@ impl StressResult {
     }
 }
 
-/// Probe every target against snapshots of one loaded base and keep the
-/// peak.
-fn run_cell<S: SimStore + faults::FaultTarget<Event = <S as SimStore>::Event> + Clone>(
-    base: &S,
-    store: StoreKind,
-    rf: u32,
-    workload: &WorkloadSpec,
-    cfg: &StressConfig,
-    seed: u64,
-) -> StressCell {
-    let mut best: Option<(f64, crate::driver::RunOutcome)> = None;
-    for &target in &cfg.targets {
-        let mut snapshot = base.snapshot();
-        let dcfg = DriverConfig {
-            workload: workload.clone(),
-            threads: cfg.threads,
-            target_ops_per_sec: target,
-            records: cfg.scale.records,
-            value_len: cfg.scale.value_len,
-            warmup_ops: cfg.warmup_ops,
-            measure_ops: cfg.measure_ops,
-            seed,
-            faults: Default::default(),
-            timeline_window_us: 0,
-            retry: RetryPolicy::none(),
-            trace: obs::TraceConfig::off(),
-            audit: audit::AuditConfig::off(),
-            arrival: crate::driver::ArrivalMode::ClosedLoop,
-        };
-        let out = driver::run(&mut snapshot, &dcfg);
-        if best.as_ref().is_none_or(|(t, _)| out.throughput > *t) {
-            best = Some((out.throughput, out));
-        }
-    }
-    let (_, out) = best.expect("at least one target probed");
-    StressCell {
-        store,
-        rf,
-        workload: workload.name.clone(),
-        peak_throughput: out.throughput,
-        mean_us: out.mean_latency_us,
-        p95_us: out.metrics.overall().p95(),
-        stale_fraction: out.stale_fraction,
-        errors: out.errors,
-    }
-}
-
 /// Run the full Fig. 2 experiment through the sweep engine.
 pub fn run_stress(cfg: &StressConfig) -> StressResult {
     run_stress_with(cfg, &Sweep::from_env())
@@ -261,48 +212,59 @@ pub fn run_stress(cfg: &StressConfig) -> StressResult {
 pub fn run_stress_with(cfg: &StressConfig, sweep: &Sweep) -> StressResult {
     // One cell per (store, RF, workload); the target probes within a cell
     // stay sequential (they share the cell's peak detection).
-    let specs: Vec<(StoreKind, u32, usize)> = cfg
+    let specs: Vec<(Point, usize)> = cfg
         .rfs
         .iter()
         .flat_map(|&rf| {
             [StoreKind::HStore, StoreKind::CStore]
                 .into_iter()
-                .flat_map(move |store| (0..cfg.workloads.len()).map(move |w| (store, rf, w)))
+                .flat_map(move |store| {
+                    (0..cfg.workloads.len()).map(move |w| (Point::new(store, rf), w))
+                })
         })
         .collect();
-    let hpool: BasePool<u32, hstore::Cluster> = BasePool::new(cfg.rfs.iter().copied());
-    let cpool: BasePool<u32, cstore::Cluster> = BasePool::new(cfg.rfs.iter().copied());
+    let runner = Runner::new(&cfg.scale, cfg.seed, specs.iter().map(|&(p, _)| p));
 
-    let outcome = sweep.run(cfg.seed, &specs, |ctx, &(store, rf, w)| {
+    let outcome = runner.sweep(sweep, &specs, |ctx, &(p, w)| {
         let workload = &cfg.workloads[w];
-        match store {
-            StoreKind::HStore => {
-                let base = hpool.get_or_load(&rf, || {
-                    let mut base = build_hstore(&cfg.scale, rf);
-                    driver::load(&mut base, cfg.scale.records, cfg.scale.value_len, cfg.seed);
-                    base
-                });
-                run_cell(base, store, rf, workload, cfg, ctx.seed)
+        // Probe every target against a snapshot of the base; keep the peak.
+        let mut best: Option<RunOutcome> = None;
+        for &target in &cfg.targets {
+            let dcfg = DriverConfig {
+                threads: cfg.threads,
+                target_ops_per_sec: target,
+                value_len: cfg.scale.value_len,
+                warmup_ops: cfg.warmup_ops,
+                measure_ops: cfg.measure_ops,
+                seed: ctx.seed,
+                ..DriverConfig::new(workload.clone(), cfg.scale.records)
+            };
+            let (out, _) = runner.run(&p, || Store::build(p, &cfg.scale), &dcfg);
+            if best.as_ref().is_none_or(|b| out.throughput > b.throughput) {
+                best = Some(out);
             }
-            StoreKind::CStore => {
-                let base = cpool.get_or_load(&rf, || {
-                    let mut base = build_cstore(&cfg.scale, rf, Consistency::One, Consistency::One);
-                    driver::load(&mut base, cfg.scale.records, cfg.scale.value_len, cfg.seed);
-                    base
-                });
-                run_cell(base, store, rf, workload, cfg, ctx.seed)
-            }
+        }
+        let out = best.expect("at least one target probed");
+        StressCell {
+            store: p.store,
+            rf: p.rf,
+            workload: workload.name.clone(),
+            peak_throughput: out.throughput,
+            mean_us: out.mean_latency_us,
+            p95_us: out.metrics.overall().p95(),
+            stale_fraction: out.stale_fraction,
+            errors: out.errors,
         }
     });
 
-    let mut telemetry = outcome.telemetry;
-    telemetry.record_pool(&hpool);
-    telemetry.record_pool(&cpool);
     let mut cells = outcome.results;
     cells.sort_by(|a, b| {
         (a.store.short(), a.rf, &a.workload).cmp(&(b.store.short(), b.rf, &b.workload))
     });
-    StressResult { cells, telemetry }
+    StressResult {
+        cells,
+        telemetry: outcome.telemetry,
+    }
 }
 
 #[cfg(test)]

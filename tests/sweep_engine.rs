@@ -184,3 +184,67 @@ fn driving_a_snapshot_leaves_the_base_reusable() {
     let second = run(&base);
     assert_eq!(first, second, "base state was mutated by a snapshot run");
 }
+
+#[test]
+fn runner_pools_a_mixed_grid_and_matches_hand_built_runs() {
+    use cloudserve::bench_core::consistency::PAPER_LEVELS;
+    use cloudserve::bench_core::runner::{Point, Runner, Store};
+    use cloudserve::bench_core::{DriverConfig, StoreKind};
+    use cloudserve::ycsb::WorkloadSpec;
+
+    let scale = Scale::tiny();
+    let seed = 7;
+    let points = [
+        Point::new(StoreKind::HStore, 1),
+        Point {
+            store: StoreKind::CStore,
+            rf: 3,
+            level: PAPER_LEVELS[1],
+        },
+        Point::new(StoreKind::CStore, 1),
+        Point::new(StoreKind::HStore, 3),
+    ];
+    let workloads = [WorkloadSpec::read_update(), WorkloadSpec::read_mostly()];
+    // Two cells per base: the second one must reuse the loaded base.
+    let cells: Vec<(Point, usize)> = points
+        .iter()
+        .flat_map(|&p| (0..workloads.len()).map(move |w| (p, w)))
+        .collect();
+    let dcfg = |w: usize| DriverConfig {
+        threads: 4,
+        warmup_ops: 50,
+        measure_ops: 400,
+        value_len: scale.value_len,
+        seed,
+        ..DriverConfig::new(workloads[w].clone(), scale.records)
+    };
+
+    let runner = Runner::new(&scale, seed, cells.iter().map(|&(p, _)| p));
+    let outcome = runner.sweep(&Sweep::new().with_threads(2), &cells, |ctx, &(p, w)| {
+        assert_eq!(ctx.seed, seed, "cells run at the experiment seed");
+        let (out, _) = runner.run(&p, || Store::build(p, &scale), &dcfg(w));
+        (out.metrics.ops(), out.sim_duration_us, out.counters)
+    });
+    assert_eq!(outcome.telemetry.workers, 2);
+    assert_eq!(outcome.telemetry.base_loads, points.len() as u64);
+    assert_eq!(outcome.telemetry.base_states, points.len() as u64);
+
+    // The same cells, built → loaded → snapshot → run by hand.
+    for (&(p, w), got) in cells.iter().zip(&outcome.results) {
+        let want = match p.store {
+            StoreKind::HStore => {
+                let mut base = build_hstore(&scale, p.rf);
+                driver::load(&mut base, scale.records, scale.value_len, seed);
+                let out = driver::run(&mut base.snapshot(), &dcfg(w));
+                (out.metrics.ops(), out.sim_duration_us, out.counters)
+            }
+            StoreKind::CStore => {
+                let mut base = build_cstore(&scale, p.rf, p.level.read, p.level.write);
+                driver::load(&mut base, scale.records, scale.value_len, seed);
+                let out = driver::run(&mut base.snapshot(), &dcfg(w));
+                (out.metrics.ops(), out.sim_duration_us, out.counters)
+            }
+        };
+        assert_eq!(got, &want, "{p:?}, workload {w}");
+    }
+}
