@@ -242,6 +242,31 @@ fn bench_snapshot_vs_reload(c: &mut Criterion) {
     });
 }
 
+fn bench_load(c: &mut Criterion) {
+    // The load layer on its own: build a stress-scale RF 3 store and run
+    // the functional bulk load the benchmarks run before every run phase
+    // (records staged or put, flushed, compacted, caches warmed).
+    use bench_core::driver;
+    use bench_core::setup::{build_cstore, build_hstore, Scale};
+    use cstore::Consistency;
+
+    let scale = Scale::stress();
+    c.bench_function("load/cstore_stress_rf3", |b| {
+        b.iter(|| {
+            let mut store = build_cstore(&scale, 3, Consistency::One, Consistency::One);
+            driver::load(&mut store, scale.records, scale.value_len, 42);
+            black_box(store)
+        });
+    });
+    c.bench_function("load/hstore_stress_rf3", |b| {
+        b.iter(|| {
+            let mut store = build_hstore(&scale, 3);
+            driver::load(&mut store, scale.records, scale.value_len, 42);
+            black_box(store)
+        });
+    });
+}
+
 criterion_group!(
     benches,
     bench_rng,
@@ -258,4 +283,10 @@ criterion_group!(
     bench_compact_merge,
     bench_snapshot_vs_reload,
 );
-criterion_main!(benches);
+criterion_group! {
+    name = loads;
+    // Each iteration is a whole stress-scale load (a fraction of a second).
+    config = Criterion::default().sample_size(10);
+    targets = bench_load
+}
+criterion_main!(benches, loads);

@@ -138,6 +138,9 @@ pub struct Cluster {
     /// take it, fill it via [`Ring::replicas_into`], and put it back, so the
     /// read/write hot paths never allocate a replica `Vec` per operation.
     replica_scratch: Vec<NodeId>,
+    /// Per-node records bulk-loaded by [`Cluster::load_direct`] and not yet
+    /// built into a run by [`Cluster::flush_all`]; empty outside a load.
+    staged: Vec<Vec<(Key, Cell)>>,
 }
 
 impl Cluster {
@@ -163,7 +166,8 @@ impl Cluster {
             config.strategy.clone(),
             snitch,
         );
-        let nodes = (0..config.nodes)
+        let node_count = config.nodes;
+        let nodes = (0..node_count)
             .map(|_| CNode::new(config.profile, config.lsm))
             .collect();
         Self {
@@ -177,6 +181,7 @@ impl Cluster {
             pauses_started: false,
             tracer: Tracer::new(),
             replica_scratch: Vec::new(),
+            staged: vec![Vec::new(); node_count],
         }
     }
 
@@ -272,27 +277,26 @@ impl Cluster {
 
     // ----- functional helpers (no virtual-time accounting) -----
 
-    /// Load a record directly onto all of its replicas; used for bulk load
-    /// phases where per-op event simulation would be pointless.
+    /// Stage a record for every one of its replicas, for a bulk load phase
+    /// where per-op event simulation would be pointless. Staged records are
+    /// invisible to reads until [`Cluster::flush_all`] builds them into runs.
     pub fn load_direct(&mut self, key: Key, value: Value, ts: u64) {
-        let reps = self.ring.replicas(&key, self.config.replication_factor);
-        for r in reps {
-            let node = &mut self.nodes[r.index()];
-            node.lsm.put(key.clone(), Cell::live(value.clone(), ts));
-            if node.lsm.memtable_bytes() >= node.lsm.config().memtable_flush_bytes {
-                if let Some(receipt) = node.lsm.flush() {
-                    if receipt.compaction_due {
-                        node.lsm.maybe_compact();
-                    }
-                }
-            }
+        let cell = Cell::live(value, ts);
+        let mut reps = std::mem::take(&mut self.replica_scratch);
+        self.ring
+            .replicas_into(&key, self.config.replication_factor, &mut reps);
+        for r in &reps {
+            self.staged[r.index()].push((key.clone(), cell.clone()));
         }
+        self.replica_scratch = reps;
     }
 
-    /// Flush every memtable and run ripe compactions (functional; used at
-    /// the end of load phases).
+    /// End a load phase (functional): build each node's staged records into
+    /// one sorted run ([`storage::LsmTree::ingest`]), flush the memtable,
+    /// compact every node down to one run and sync the commit log.
     pub fn flush_all(&mut self) {
-        for node in &mut self.nodes {
+        for (node, staged) in self.nodes.iter_mut().zip(&mut self.staged) {
+            node.lsm.ingest(std::mem::take(staged));
             node.lsm.flush();
             node.lsm.compact_all();
             node.lsm.sync_wal();
@@ -437,6 +441,11 @@ impl Cluster {
     /// op, the completion is an immediate [`OpError::Overloaded`] fast-fail:
     /// no events are scheduled and no RNG is drawn, mirroring the
     /// availability fast-fail path.
+    ///
+    /// # Panics
+    /// In debug builds, panics while records staged by
+    /// [`Cluster::load_direct`] await [`Cluster::flush_all`]: the op would
+    /// not see them.
     pub fn submit_tagged<W: From<Event>>(
         &mut self,
         sim: &mut Sim<W>,
@@ -444,6 +453,10 @@ impl Cluster {
         op: StoreOp,
         tag: OpTag,
     ) {
+        debug_assert!(
+            self.staged.iter().all(Vec::is_empty),
+            "a bulk load is staged: call flush_all before submitting ops"
+        );
         if self.config.admission.enabled()
             && !self
                 .config
@@ -2060,7 +2073,13 @@ mod tests {
         for i in 0..100u64 {
             h.cluster.load_direct(key(i), k("seed"), 1);
         }
+        // Staged records are invisible until the load phase ends.
+        let first = h.cluster.ring().replicas(&key(0), 3)[0];
+        assert!(h.cluster.read_local(first, &key(0)).is_none());
         h.cluster.flush_all();
+        for n in 0..5 {
+            assert_eq!(h.cluster.node(NodeId(n)).lsm.table_count(), 1);
+        }
         for i in (0..100u64).step_by(13) {
             for r in h.cluster.ring().replicas(&key(i), 3) {
                 assert!(h.cluster.read_local(r, &key(i)).is_some());
@@ -2069,6 +2088,15 @@ mod tests {
         // Reads served through the full path too.
         let r = h.run_one(StoreOp::Read { key: key(42) });
         assert!(matches!(r.result, OpResult::Value(Some(_))));
+    }
+
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "a bulk load is staged")]
+    fn submitting_before_flush_all_panics_in_debug_builds() {
+        let mut h = Harness::new(ordered_config(3, 5, 100));
+        h.cluster.load_direct(key(0), k("seed"), 1);
+        h.submit(StoreOp::Read { key: key(0) });
     }
 
     #[test]

@@ -346,6 +346,62 @@ impl LsmTree {
         })
     }
 
+    /// Bulk-load a batch of records as one new run.
+    ///
+    /// The records may come in any order and repeat keys. They are sorted
+    /// and each key's versions folded by last-write-wins, which is
+    /// order-independent, and the run is built once. The WAL advances as
+    /// the per-record appends plus a covering flush would
+    /// ([`WriteAheadLog::append_covered`]), duplicates included.
+    ///
+    /// On a tree with no runs and an empty memtable, `ingest` then
+    /// [`LsmTree::flush`] and [`LsmTree::compact_all`] leave the state that
+    /// `put` per record (flushing when due, compacting when ripe) followed
+    /// by those two calls leaves: the same entries, so the same blocks and
+    /// bloom filter, and the same WAL sequence and byte counters. Only the
+    /// run's [`TableId`] is lower, since no intermediate runs were
+    /// numbered. Returns `None` when `records` is empty.
+    ///
+    /// # Panics
+    /// In debug builds, panics if a record is a tombstone: a bulk load
+    /// writes values, and the per-record path would purge tombstones or
+    /// keep them depending on how many runs the load had flushed.
+    pub fn ingest(&mut self, mut records: Vec<(Key, Cell)>) -> Option<FlushReceipt> {
+        if records.is_empty() {
+            return None;
+        }
+        debug_assert!(
+            records.iter().all(|(_, cell)| !cell.is_tombstone()),
+            "bulk-loaded records must be live"
+        );
+        self.wal.append_covered(&records);
+        records.sort_unstable_by(|a, b| a.0.cmp(&b.0));
+        records.dedup_by(|later, kept| {
+            if later.0 != kept.0 {
+                return false;
+            }
+            if std::ptr::eq(Cell::newer(&kept.1, &later.1), &later.1) {
+                std::mem::swap(&mut kept.1, &mut later.1);
+            }
+            true
+        });
+        // Exact-size storage, like a compaction's merged run: the staging
+        // buffer's growth slack must not outlive the load.
+        records.shrink_to_fit();
+        let id = TableId(self.next_table_id);
+        self.next_table_id += 1;
+        let table = SsTable::build(id, records, self.config.block_size);
+        let bytes = table.total_bytes();
+        self.tables.push(table);
+        self.sizes.push((id, bytes));
+        let compaction_due = self.config.compaction.pick(&self.sizes).is_some();
+        Some(FlushReceipt {
+            table: id,
+            bytes,
+            compaction_due,
+        })
+    }
+
     fn rebuild_sizes(&mut self) {
         self.sizes.clear();
         self.sizes
@@ -502,6 +558,16 @@ impl LsmTree {
     /// Ids and sizes of all live SSTables (oldest first).
     pub fn tables(&self) -> &[(TableId, u64)] {
         &self.sizes
+    }
+
+    /// The live SSTables themselves (oldest first).
+    pub fn runs(&self) -> &[SsTable] {
+        &self.tables
+    }
+
+    /// The write-ahead log.
+    pub fn wal(&self) -> &WriteAheadLog {
+        &self.wal
     }
 
     /// True when every run of `self` shares its allocation with the
@@ -756,6 +822,40 @@ mod tests {
         assert!(!tree.shares_tables_with(&snap));
         assert_eq!(tree.table_count(), 1);
         assert_eq!(snap.table_count(), 2);
+    }
+
+    #[test]
+    fn ingest_builds_one_exact_size_run_from_unsorted_duplicates() {
+        let mut tree = LsmTree::new(small_config());
+        assert!(tree.ingest(Vec::new()).is_none());
+        let mut records = Vec::with_capacity(64);
+        for i in [5usize, 1, 3, 1, 4, 5, 2] {
+            records.push((
+                k(&format!("user{i:06}")),
+                Cell::live(k(&format!("v{}", records.len())), i as u64),
+            ));
+        }
+        let receipt = tree.ingest(records).expect("non-empty batch");
+        assert_eq!(receipt.table, TableId(1));
+        assert!(!receipt.compaction_due);
+        assert_eq!(tree.table_count(), 1);
+        let run = &tree.runs()[0];
+        assert_eq!(run.len(), 5);
+        assert_eq!(run.entries_capacity(), run.len());
+        // The later of the two equal-timestamp versions of user000001 and
+        // user000005 is the larger value, so it wins.
+        assert_eq!(
+            run.get(b"user000001").unwrap().value.as_deref(),
+            Some(&b"v3"[..])
+        );
+        assert_eq!(
+            run.get(b"user000005").unwrap().value.as_deref(),
+            Some(&b"v5"[..])
+        );
+        // Seven appends' worth of WAL, none of it left to replay.
+        assert_eq!(tree.wal().last_seq(), 7);
+        assert!(tree.wal().is_empty());
+        assert_eq!(tree.sync_wal(), tree.wal().bytes());
     }
 
     #[test]

@@ -316,6 +316,13 @@ impl SsTable {
         &self.core.entries
     }
 
+    /// Allocated entry slots: equal to [`SsTable::len`] when the run holds
+    /// no growth slack.
+    #[cfg(test)]
+    pub(crate) fn entries_capacity(&self) -> usize {
+        self.core.entries.capacity()
+    }
+
     /// The block containing entry index `idx`.
     pub fn block_of_entry(&self, idx: usize) -> usize {
         debug_assert!(idx < self.core.entries.len());

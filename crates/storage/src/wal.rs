@@ -57,7 +57,7 @@ impl WriteAheadLog {
     pub fn append(&mut self, key: &Key, cell: &Cell) -> (u64, u64) {
         let seq = self.next_seq;
         self.next_seq += 1;
-        let len = entry_encoded_len(key, cell) + 8;
+        let len = record_len(key, cell);
         self.bytes += len;
         self.unsynced_bytes += len;
         self.entries.push_back(WalEntry {
@@ -66,6 +66,22 @@ impl WriteAheadLog {
             cell: cell.clone(),
         });
         (seq, len)
+    }
+
+    /// Account for `records` as if each were appended and a flush then
+    /// covered them: sequence numbers and byte counters advance exactly as
+    /// that many [`WriteAheadLog::append`]s would, but no entries are kept
+    /// (the covering flush would truncate them at once). Entries already in
+    /// the log are untouched. Returns the bytes logged.
+    pub fn append_covered(&mut self, records: &[(Key, Cell)]) -> u64 {
+        let len: u64 = records
+            .iter()
+            .map(|(key, cell)| record_len(key, cell))
+            .sum();
+        self.next_seq += records.len() as u64;
+        self.bytes += len;
+        self.unsynced_bytes += len;
+        len
     }
 
     /// Mark all appended bytes as durably synced; returns how many bytes the
@@ -115,6 +131,11 @@ impl WriteAheadLog {
     }
 }
 
+/// Encoded size of one log record: the entry plus its sequence number.
+fn record_len(key: &Key, cell: &Cell) -> u64 {
+    entry_encoded_len(key, cell) + 8
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -158,6 +179,30 @@ mod tests {
         w.truncate_through(3);
         let seqs: Vec<_> = w.replay().map(|e| e.seq).collect();
         assert_eq!(seqs, vec![4, 5]);
+    }
+
+    #[test]
+    fn append_covered_counts_like_appends_then_truncation() {
+        let records: Vec<_> = [("a", "1"), ("b", "22"), ("a", "333")]
+            .iter()
+            .enumerate()
+            .map(|(i, (key, val))| (k(key), Cell::live(k(val), i as u64)))
+            .collect();
+        let mut appended = WriteAheadLog::new();
+        appended.append(&k("old"), &Cell::live(k("x"), 9));
+        let mut covered = appended.clone();
+        let mut total = 0;
+        for (key, cell) in &records {
+            total += appended.append(key, cell).1;
+        }
+        appended.truncate_through(appended.last_seq());
+        assert_eq!(covered.append_covered(&records), total);
+        assert_eq!(covered.last_seq(), appended.last_seq());
+        assert_eq!(covered.bytes(), appended.bytes());
+        assert_eq!(covered.unsynced_bytes(), appended.unsynced_bytes());
+        // The entry logged before the covered batch stays replayable.
+        let seqs: Vec<_> = covered.replay().map(|e| e.seq).collect();
+        assert_eq!(seqs, vec![1]);
     }
 
     #[test]
